@@ -13,26 +13,27 @@ predictions (deep mutual learning, Zhang et al. CVPR 2018):
 Both networks see the *same* images each step, but through their own data
 assignment (the student through SI/CL/..., the teacher through the
 conventional amplitude-only assignment).
+
+Each network is driven by its own :class:`~repro.core.training.Trainer`, so
+both halves of a mutual step replay compiled train-step plans (or fall back
+to the eager tape exactly as a plain ``Trainer`` would).  One step runs the
+teacher's forward phase once, then the student's whole step against the
+teacher's logits, then the teacher's loss, backward and update against the
+student's pre-update logits.  The teacher's batch-norm running statistics
+therefore move once per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.assignment import AssignmentScheme, get_scheme
 from repro.core.config import TrainingConfig
-from repro.core.training import (
-    Trainer,
-    TrainingHistory,
-    apply_parameter_constraints,
-    evaluate_accuracy,
-    prepare_batch,
-)
+from repro.core.training import Trainer, TrainingHistory, evaluate_accuracy
 from repro.data.loader import DataLoader
-from repro.nn.losses import cross_entropy, kl_divergence
 from repro.nn.module import Module
 
 
@@ -74,42 +75,25 @@ class MutualLearningTrainer:
         self.student_trainer = Trainer(student, config, scheme=student_scheme)
         self.teacher_trainer = Trainer(teacher, config, scheme=self.teacher_scheme)
 
+    @property
+    def plan_stats(self) -> dict:
+        """The two trainers' plan diagnostics (see :attr:`Trainer.plan_stats`)."""
+        return {"student": self.student_trainer.plan_stats,
+                "teacher": self.teacher_trainer.plan_stats}
+
     def _mutual_step(self, images: np.ndarray, labels: np.ndarray) -> tuple:
-        """One joint update of both networks; returns their batch losses."""
-        alpha = self.config.distillation_alpha
-        temperature = self.config.distillation_temperature
+        """One joint update of both networks; returns their batch losses.
 
-        # student update (teacher logits act as a constant target)
-        self.student_trainer.optimizer.zero_grad()
-        student_logits = self.student(prepare_batch(images, self.student_scheme))
-        teacher_logits = self.teacher(prepare_batch(images, self.teacher_scheme))
-        student_loss = cross_entropy(student_logits, labels,
-                                     label_smoothing=self.config.label_smoothing)
-        if alpha > 0:
-            student_loss = student_loss + alpha * kl_divergence(
-                student_logits, teacher_logits.detach(), temperature=temperature)
-        student_loss.backward()
-        if self.config.grad_clip:
-            self.student_trainer.optimizer.clip_grad_norm(self.config.grad_clip)
-        self.student_trainer.optimizer.step()
-        apply_parameter_constraints(self.student)
-
-        # teacher update (student logits act as a constant target)
-        self.teacher_trainer.optimizer.zero_grad()
-        teacher_logits = self.teacher(prepare_batch(images, self.teacher_scheme))
-        student_logits_fixed = student_logits.detach()
-        teacher_loss = cross_entropy(teacher_logits, labels,
-                                     label_smoothing=self.config.label_smoothing)
-        if alpha > 0:
-            teacher_loss = teacher_loss + alpha * kl_divergence(
-                teacher_logits, student_logits_fixed, temperature=temperature)
-        teacher_loss.backward()
-        if self.config.grad_clip:
-            self.teacher_trainer.optimizer.clip_grad_norm(self.config.grad_clip)
-        self.teacher_trainer.optimizer.step()
-        apply_parameter_constraints(self.teacher)
-
-        return float(student_loss.data), float(teacher_loss.data)
+        Each network's peer logits are a constant target: the student learns
+        from the teacher's logits of this batch, the teacher from the
+        student's logits before the student's update.
+        """
+        distill = self.config.distillation_alpha > 0
+        teacher_logits = self.teacher_trainer.begin_step(images, labels, distill)
+        student_logits = self.student_trainer.begin_step(images, labels, distill)
+        student_loss, _ = self.student_trainer.finish_step(teacher_logits)
+        teacher_loss, _ = self.teacher_trainer.finish_step(student_logits)
+        return student_loss, teacher_loss
 
     def fit(self, train_loader: DataLoader, test_loader: Optional[DataLoader] = None,
             verbose: bool = False) -> MutualLearningResult:

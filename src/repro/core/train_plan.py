@@ -20,14 +20,23 @@ lists executed against preallocated buffers:
   per-step topological sort, the ``pending`` dict and every gradient
   allocation are gone: gradients accumulate via first-write ``np.copyto`` /
   in-place ``np.add`` into persistent slots recycled through a shape-keyed
-  buffer pool.  ReLU backward is fused with its forward emitter (the
-  activation mask is computed once per step and shared), and the complex
-  pair-unpacking / slicing adjoints turn into direct slot writes instead of
-  zeros-plus-scatter.
+  buffer pool.  Which parents each closure feeds, and with what shape, comes
+  from the traced step's own eager backward (recorded in
+  ``TapeTrace.contributions``), so compiling runs no closure.  ReLU backward
+  is fused with its forward emitter (the activation mask is computed once per
+  step and shared), and the complex pair-unpacking / slicing adjoints turn
+  into direct slot writes instead of zeros-plus-scatter.
 * **update**: the optimizer tail (optional global-norm clip, then
   ``begin_step`` + one ``step_parameter`` per contributing parameter) runs the
   very same in-place kernels as ``Optimizer.step``, reading ``optimizer.lr``
   at call time so scheduler changes apply to the next planned step.
+
+The forward list is split at the logits: :meth:`TrainStepPlan.forward`
+replays the model, :meth:`TrainStepPlan.finish` the loss head, backward and
+update, so a caller can read the logits in between (mutual learning feeds
+them to the peer network's loss).  Scratch that lives only inside one
+instruction (padded conv inputs, column gradients, batch-norm temporaries)
+comes from one shape-keyed arena per plan instead of per instruction.
 
 Replay is bit-identical to the eager tape except for the sign of floating
 zeros in scatter-style adjoints (the eager path adds ``-0.0`` into zeros,
@@ -82,6 +91,29 @@ class _BufferPool:
 
     def release(self, array: np.ndarray) -> None:
         self._free.setdefault((array.shape, array.dtype.str), []).append(array)
+
+
+class _ScratchArena:
+    """Shape-keyed scratch shared by every instruction of one plan.
+
+    An instruction's scratch is dead once the instruction returns and
+    instructions run one at a time, so every instruction asking for the same
+    ``(shape, dtype, slot)`` shares one array.  ``slot`` tells apart the
+    buffers one instruction holds at the same time: within an instruction
+    each buffer takes a distinct slot.  A buffer whose contents must survive
+    between runs (the zero border of a padded conv input) takes a slot that
+    names the invariant, shared only by instructions that keep it.
+    """
+
+    def __init__(self):
+        self._buffers: Dict[Tuple, np.ndarray] = {}
+
+    def get(self, shape: Tuple[int, ...], dtype, slot=0) -> np.ndarray:
+        key = (tuple(shape), np.dtype(dtype).str, slot)
+        buffer = self._buffers.get(key)
+        if buffer is None:
+            buffer = self._buffers[key] = np.zeros(shape, dtype)
+        return buffer
 
 
 class _FusedForward:
@@ -443,7 +475,7 @@ def _f_batch_norm(entry: TapeEntry, ctx) -> Callable[[], None]:
     sq = np.empty_like(cache["sq"])
     sub = np.empty(x_shape, dtype)
     norm = np.empty(x_shape, dtype) if affine else buf
-    scratch = np.empty(x_shape, dtype)
+    scratch = ctx.arena.get(x_shape, dtype)
     cache.update(mean=mean, sub=sub, var=var, sq=sq, norm=norm)
 
     def run():
@@ -524,14 +556,17 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     buf = node.data
     dtype = buf.dtype
 
-    # persistent im2col workspace: the input planes land directly in the
-    # interior of a zero-bordered padded buffer (replacing the per-step
-    # concatenate + np.pad of the eager op) and the patch gather copies into
-    # a reused column matrix, extracting exactly the elements `im2col` reads.
-    # The padded buffer is stored channel-major (C, Hp, Wp, batch) so the
-    # window gather's innermost axis is contiguous on both sides.
-    padded = np.zeros((2 * in_channels, height + 2 * pad_h,
-                       width + 2 * pad_w, batch), dtype)
+    # im2col workspace: the input planes land directly in the interior of a
+    # zero-bordered padded buffer (replacing the per-step concatenate +
+    # np.pad of the eager op) and the patch gather copies into a persistent
+    # column matrix (the backward reads it), extracting exactly the elements
+    # `im2col` reads.  The padded buffer is stored channel-major
+    # (C, Hp, Wp, batch) so the window gather's innermost axis is contiguous
+    # on both sides; it is arena scratch shared by every conv of the same
+    # geometry, all of which write only the interior.
+    padded = ctx.arena.get((2 * in_channels, height + 2 * pad_h,
+                            width + 2 * pad_w, batch), dtype,
+                           slot=("padded", pad_h, pad_w))
     interior_real = padded[:in_channels, pad_h:pad_h + height, pad_w:pad_w + width, :]
     interior_imag = padded[in_channels:, pad_h:pad_h + height, pad_w:pad_w + width, :]
     n_cols = out_h * out_w * batch
@@ -542,14 +577,12 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     buf_real, buf_imag = buf[0], buf[1]
     bias_shape = (1, out_channels, 1, 1)
     if product == "block":
-        out_matrix = np.empty((2 * out_channels, n_cols), dtype)
+        out_matrix = ctx.arena.get((2 * out_channels, n_cols), dtype)
         out_view = out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3)
     else:
-        a = np.empty((out_channels, n_cols), dtype)
-        b = np.empty((out_channels, n_cols), dtype)
-        c = np.empty((out_channels, n_cols), dtype)
-        d = np.empty((out_channels, n_cols), dtype)
-        cols_sum = np.empty((patch, n_cols), dtype)
+        a, b, c, d = (ctx.arena.get((out_channels, n_cols), dtype, slot)
+                      for slot in range(4))
+        cols_sum = ctx.arena.get((patch, n_cols), dtype, 4)
         w_sum = np.empty((out_channels, patch), dtype)
         plane_shape = matrix_shape[1:]
 
@@ -635,6 +668,7 @@ _FORWARD_EMITTERS: Dict[str, Callable] = {
 class _CompileContext:
     def __init__(self):
         self.relu_masks: Dict[int, np.ndarray] = {}
+        self.arena = _ScratchArena()
 
 
 # --------------------------------------------------------------------------- #
@@ -711,8 +745,8 @@ def _slots_by_position(targets):
     return by_pos
 
 
-def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
-                        targets) -> Optional[Callable[[], None]]:
+def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray, targets,
+                        ctx) -> Optional[Callable[[], None]]:
     by_pos = _slots_by_position(targets)
     if by_pos is None or 0 not in by_pos:
         return None
@@ -730,8 +764,8 @@ def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
     w_slot = by_pos[1][0] if 1 in by_pos else None
     b_slot = by_pos[2][0] if 2 in by_pos else None
     dtype = grad_in.dtype
-    s1 = np.empty(x_shape, dtype)
-    s2 = np.empty(x_shape, dtype)
+    s1 = ctx.arena.get(x_shape, dtype, 0)
+    s2 = ctx.arena.get(x_shape, dtype, 1)
     reduced_shape = cache["mean"].shape
     m1 = np.empty(reduced_shape, dtype)
     m_sq = np.empty(reduced_shape, dtype)
@@ -784,8 +818,8 @@ def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
     return run
 
 
-def _b_complex_linear_build(entry: TapeEntry, grad_in: np.ndarray,
-                            targets) -> Optional[Callable[[], None]]:
+def _b_complex_linear_build(entry: TapeEntry, grad_in: np.ndarray, targets,
+                            ctx) -> Optional[Callable[[], None]]:
     by_pos = _slots_by_position(targets)
     if by_pos is None:
         return None
@@ -872,8 +906,8 @@ def _b_complex_linear_build(entry: TapeEntry, grad_in: np.ndarray,
 
 
 def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
-                        padding, dtype):
-    """Persistent-buffer col2im for plan replay, split at ``split_channels``.
+                        padding, dtype, arena: _ScratchArena, slot):
+    """Arena-buffer col2im for plan replay, split at ``split_channels``.
 
     Returns ``run(columns) -> (top_plane, bottom_plane)`` where the planes are
     views of shape ``(batch, split, height, width)`` /
@@ -884,6 +918,8 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
     accumulator channel-major ``(C, Hp, Wp, batch)``, which makes both sides
     of every shifted add near-contiguous (measured ~12x faster on the
     ResNet stage-1 geometry) without touching any element's add order.
+    The planes are views of ``arena`` scratch at ``slot``: the caller must
+    consume them before its instruction returns.
     """
     batch, channels, height, width = input_shape
     kernel_h, kernel_w = kernel_size
@@ -894,7 +930,7 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
     if (pad_h == 0 and pad_w == 0 and stride_h == kernel_h and stride_w == kernel_w
             and out_h * kernel_h == height and out_w * kernel_w == width):
         # exact tiling: the adjoint is a permutation, not a scatter
-        image = np.empty(input_shape, dtype=dtype)
+        image = arena.get(input_shape, dtype, slot)
         tiles = image.reshape(batch, channels, out_h, kernel_h, out_w, kernel_w)
         planes = (image[:, :split_channels], image[:, split_channels:])
 
@@ -916,8 +952,8 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
 
         return run
 
-    accumulator = np.empty((channels, height + 2 * pad_h, width + 2 * pad_w,
-                            batch), dtype=dtype)
+    accumulator = arena.get((channels, height + 2 * pad_h, width + 2 * pad_w,
+                             batch), dtype, slot)
     interior = accumulator[:, pad_h:pad_h + height, pad_w:pad_w + width, :]
     planes = (interior[:split_channels].transpose(3, 0, 1, 2),
               interior[split_channels:].transpose(3, 0, 1, 2))
@@ -937,8 +973,8 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
     return run
 
 
-def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
-                            targets) -> Optional[Callable[[], None]]:
+def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray, targets,
+                            ctx) -> Optional[Callable[[], None]]:
     by_pos = _slots_by_position(targets)
     if by_pos is None:
         return None
@@ -957,35 +993,37 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
     dtype = grad_in.dtype
     n_cols = grad_in[0].size // out_channels
     grad_source = grad_in.transpose(0, 2, 3, 4, 1)
-    grad_matrix = np.empty((2 * out_channels, n_cols), dtype)
+    arena = ctx.arena
+    grad_matrix = arena.get((2 * out_channels, n_cols), dtype, 0)
     grad_view = grad_matrix.reshape(grad_source.shape)
     grad_r = grad_matrix[:out_channels]
     grad_i = grad_matrix[out_channels:]
     needs_input = 0 in by_pos or 1 in by_pos
     needs_weight = 2 in by_pos or 3 in by_pos
     if needs_input:
-        dcols = np.empty((2 * patch, n_cols), dtype)
+        dcols = arena.get((2 * patch, n_cols), dtype, 1)
         if F.reference_kernels_enabled():
             def col2im_fn(columns):
                 image = F.col2im_reference(columns, stacked_shape, kernel,
                                            stride, padding)
                 return image[:, :in_channels], image[:, in_channels:]
         else:
-            col2im_fn = _make_col2im_planes(stacked_shape, in_channels,
-                                            kernel, stride, padding, dtype)
+            col2im_fn = _make_col2im_planes(stacked_shape, in_channels, kernel,
+                                            stride, padding, dtype, arena, 2)
     if product == "block":
         if needs_weight:
             dw_block = np.empty((2 * out_channels, 2 * patch), dtype)
     else:
-        grad_sum = np.empty((out_channels, n_cols), dtype) if (needs_input or needs_weight) else None
+        grad_sum = (arena.get((out_channels, n_cols), dtype, 3)
+                    if (needs_input or needs_weight) else None)
         if needs_weight:
             p1 = np.empty((out_channels, patch), dtype)
             p2 = np.empty((out_channels, patch), dtype)
-            cols_diff = np.empty((patch, n_cols), dtype)
+            cols_diff = arena.get((patch, n_cols), dtype, 4)
             t_w = np.empty((out_channels, patch), dtype)
         if needs_input:
-            q1 = np.empty((patch, n_cols), dtype)
-            q2 = np.empty((patch, n_cols), dtype)
+            q1 = arena.get((patch, n_cols), dtype, 5)
+            q2 = arena.get((patch, n_cols), dtype, 6)
             w_diff = np.empty((out_channels, patch), dtype)
 
     xr_slot, xr_first = by_pos.get(0, (None, True))
@@ -1062,17 +1100,68 @@ _BACKWARD_BUILDERS: Dict[str, Callable] = {
 # --------------------------------------------------------------------------- #
 # the compiled plan
 # --------------------------------------------------------------------------- #
-class TrainStepPlan:
-    """A lowered training step: refresh inputs, replay, update, in place."""
+def _ancestors(root: Tensor, entries: Dict[int, TapeEntry]) -> set:
+    """Ids of ``root`` and of every tensor (traced node or leaf) it depends on."""
+    found = {id(root)}
+    stack = [root]
+    while stack:
+        entry = entries.get(id(stack.pop()))
+        if entry is None:
+            continue
+        for parent in entry.parents:
+            if id(parent) not in found:
+                found.add(id(parent))
+                stack.append(parent)
+    return found
 
-    def __init__(self, input_buffers, input_meta, param_bindings, unused_params,
-                 forward, backward, optimizer, grad_clip, update_indices,
-                 loss_node, logits_node, stats):
-        self._input_buffers = input_buffers
+
+def _fuse_activations(node_ids, instructions, entries, view_origin):
+    """Fuse producer -> activation chains into single instruction objects.
+
+    An activation only reads its producer's buffer and every instruction
+    writes only its own, so a relu can always be hoisted next to its producer
+    (even across the sibling-plane instructions of the complex pair layout).
+    Returns the fused instruction list and the number of fused activations.
+    """
+    fused = 0
+    fused_forward: List[Callable[[], None]] = []
+    position_of: Dict[int, int] = {}
+    for nid, instruction in zip(node_ids, instructions):
+        entry = entries[nid]
+        if entry.op == "relu":
+            parent_id = id(entry.parents[0])
+            source = view_origin.get(parent_id, parent_id)
+            at = position_of.get(source)
+            if at is not None:
+                fused_forward[at] = _FusedForward(fused_forward[at], instruction)
+                position_of[nid] = at
+                fused += 1
+                continue
+        position_of[nid] = len(fused_forward)
+        fused_forward.append(instruction)
+    return fused_forward, fused
+
+
+class TrainStepPlan:
+    """A lowered training step: refresh inputs, replay, update, in place.
+
+    A step runs in two phases.  :meth:`forward` replays the model up to the
+    logits; :meth:`finish` replays the loss head, the backward pass and the
+    optimizer update.  Between them the caller may read the logits (mutual
+    learning computes the peer's KD targets from them); :meth:`execute` runs
+    both phases back to back.
+    """
+
+    def __init__(self, forward_inputs, loss_inputs, input_meta, param_bindings,
+                 unused_params, forward, loss_head, backward, optimizer, grad_clip,
+                 update_indices, loss_node, logits_node, stats):
+        self._forward_inputs = forward_inputs
+        self._loss_inputs = loss_inputs
         self.input_meta = input_meta
         self._param_bindings = param_bindings
         self._unused_params = unused_params
         self._forward = forward
+        self._loss_head = loss_head
         self._backward = backward
         self._optimizer = optimizer
         self._grad_clip = grad_clip
@@ -1081,21 +1170,36 @@ class TrainStepPlan:
         self._logits = logits_node
         self.stats = stats
 
-    def execute(self, input_values: Dict[str, np.ndarray], update: bool = True):
-        """Run one planned step; returns ``(loss, predicted labels)``.
+    def forward(self, input_values: Dict[str, np.ndarray]) -> np.ndarray:
+        """Forward phase: refresh the model inputs and replay up to the logits.
 
-        ``input_values`` maps the traced input keys (``input`` or
-        ``input_real``/``input_imag``, plus ``cross_entropy_targets``) to the
-        new batch's arrays.  With ``update=False`` the optimizer tail is
-        skipped and the parameter gradients are left bound on ``p.grad``.
+        ``input_values`` maps the traced model input keys (``input`` or
+        ``input_real``/``input_imag``) to the new batch's arrays; other keys
+        are ignored.  Returns the plan's logits buffer, which holds this
+        step's logits until the next :meth:`forward`.
         """
-        for key, buffer in self._input_buffers:
+        for key, buffer in self._forward_inputs:
+            np.copyto(buffer, input_values[key])
+        for instruction in self._forward:
+            instruction()
+        return self._logits.data
+
+    def finish(self, input_values: Dict[str, np.ndarray], update: bool = True):
+        """Finish phase: loss head, backward and update; returns ``(loss, predicted labels)``.
+
+        ``input_values`` maps the traced loss input keys
+        (``cross_entropy_targets``, plus ``kd_target_probs`` and
+        ``kd_target_log_probs`` for a distillation loss) to this step's
+        arrays.  With ``update=False`` the optimizer tail is skipped and the
+        parameter gradients are left bound on ``p.grad``.
+        """
+        for key, buffer in self._loss_inputs:
             np.copyto(buffer, input_values[key])
         for parameter, buffer in self._param_bindings:
             parameter.grad = buffer
         for parameter in self._unused_params:
             parameter.grad = None
-        for instruction in self._forward:
+        for instruction in self._loss_head:
             instruction()
         for instruction in self._backward:
             instruction()
@@ -1107,6 +1211,11 @@ class TrainStepPlan:
             for index in self._update_indices:
                 optimizer.step_parameter(index)
         return float(self._loss.data), self._logits.data.argmax(axis=1)
+
+    def execute(self, input_values: Dict[str, np.ndarray], update: bool = True):
+        """Run both phases of one planned step; returns ``(loss, predicted labels)``."""
+        self.forward(input_values)
+        return self.finish(input_values, update)
 
 
 # --------------------------------------------------------------------------- #
@@ -1128,21 +1237,11 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
     input_ids = {id(tensor): key for key, (tensor, _meta) in trace.inputs.items()}
 
     # ------------------------------------------------------------------ #
-    # reachability: every traced node whose data feeds the loss
+    # reachability: every traced node whose data feeds the loss (leaves are
+    # parameters, marked inputs or step-invariant constants)
     # ------------------------------------------------------------------ #
-    needed: Dict[int, TapeEntry] = {}
-    stack = [loss]
-    seen = {id(loss)}
-    while stack:
-        tensor = stack.pop()
-        entry = entries.get(id(tensor))
-        if entry is None:
-            continue  # leaf: parameter, marked input, or step-invariant constant
-        needed[id(tensor)] = entry
-        for parent in entry.parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
+    seen = _ancestors(loss, entries)
+    needed = seen & entries.keys()
 
     if id(loss) not in needed or id(logits) not in needed:
         raise PlanUnsupported("loss or logits tensor is not part of the traced graph")
@@ -1209,11 +1308,12 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
             continue  # leaf (parameter): its slot is the persistent grad buffer
         entry = entries[nid]
         closure = entry.backward
-
-        # one compile-time dry run discovers the closure's None pattern and
+        # the traced eager backward recorded the closure's None pattern and
         # contribution shapes (closures are pure functions of grad and of the
         # forward state, so structure is shape-stable)
-        dry = closure(np.zeros_like(node.data))
+        pattern = trace.contributions.get(nid)
+        if pattern is None:
+            raise PlanUnsupported("the traced step's backward did not run under the trace")
 
         emitted = False
         if entry.op == "pick":
@@ -1256,21 +1356,22 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
 
         if not emitted:
             targets = []
-            for position, (parent, contribution) in enumerate(zip(entry.parents, dry)):
+            for position, (parent, contribution) in enumerate(zip(entry.parents, pattern)):
                 if contribution is None or not parent.requires_grad:
                     continue
                 if id(parent) not in topo_ids:
                     continue
+                shape, dtype = contribution
                 pid = id(parent)
                 first = pid not in contributed
                 if first:
                     contributed.add(pid)
-                    grad_slot[pid] = acquire_slot(parent, contribution.dtype)
-                needs_reduce = contribution.shape != parent.data.shape
+                    grad_slot[pid] = acquire_slot(parent, dtype)
+                needs_reduce = shape != parent.data.shape
                 targets.append((position, grad_slot[pid], first, needs_reduce,
                                 parent.data.shape))
             builder = _BACKWARD_BUILDERS.get(entry.op)
-            instruction = builder(entry, grad_in, targets) if builder else None
+            instruction = builder(entry, grad_in, targets, ctx) if builder else None
             if instruction is None:
                 instruction = _b_generic(closure, grad_in, tuple(targets))
             else:
@@ -1281,10 +1382,13 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
             pool.release(grad_in)
 
     # ------------------------------------------------------------------ #
-    # forward instructions in creation order (a valid topological order)
+    # forward instructions in creation order (a valid topological order),
+    # split into the model phase (the logits and everything they depend on)
+    # and the loss head; each input leaf belongs to the phase that reads it
     # ------------------------------------------------------------------ #
-    forward_instructions: List[Callable[[], None]] = []
-    forward_node_ids: List[int] = []
+    model_ids = _ancestors(logits, entries)
+    phases: Tuple[List[int], List[int]] = ([], [])
+    phase_instructions: Tuple[List[Callable[[], None]], List[Callable[[], None]]] = ([], [])
     static_views = 0
     view_origin: Dict[int, int] = {}  # static-view node -> producing buffer's node
     for entry in trace.entries:
@@ -1310,41 +1414,29 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
                     raise PlanUnsupported(
                         f"op {op!r} output aliases its input; in-place replay "
                         "would corrupt the operand")
-        forward_instructions.append(factory(entry, ctx))
-        forward_node_ids.append(nid)
+        phase = 0 if nid in model_ids else 1
+        phase_instructions[phase].append(factory(entry, ctx))
+        phases[phase].append(nid)
 
-    # fuse producer -> activation chains into single instruction objects: an
-    # activation only reads its producer's buffer and every instruction writes
-    # only its own, so a relu can always be hoisted next to its producer (even
-    # across the sibling-plane instructions of the complex pair layout)
     fused = 0
-    fused_forward: List[Callable[[], None]] = []
-    position_of: Dict[int, int] = {}
-    for nid, instruction in zip(forward_node_ids, forward_instructions):
-        entry = entries[nid]
-        if entry.op == "relu":
-            parent_id = id(entry.parents[0])
-            source = view_origin.get(parent_id, parent_id)
-            at = position_of.get(source)
-            if at is not None:
-                fused_forward[at] = _FusedForward(fused_forward[at], instruction)
-                position_of[nid] = at
-                fused += 1
-                continue
-        position_of[nid] = len(fused_forward)
-        fused_forward.append(instruction)
+    fused_phases = []
+    for node_ids, instructions in zip(phases, phase_instructions):
+        phase_fused, fused_count = _fuse_activations(node_ids, instructions,
+                                                     entries, view_origin)
+        fused_phases.append(tuple(phase_fused))
+        fused += fused_count
 
     # ------------------------------------------------------------------ #
     # inputs and the optimizer tail
     # ------------------------------------------------------------------ #
-    input_buffers = []
+    input_buffers: Tuple[List, List] = ([], [])
     input_meta = {}
     for key, (tensor, meta) in trace.inputs.items():
         if id(tensor) in entries:
             raise PlanUnsupported(f"marked input {key!r} is not a leaf")
         if id(tensor) not in seen:
             continue  # traced but unused by this model
-        input_buffers.append((key, tensor.data))
+        input_buffers[0 if id(tensor) in model_ids else 1].append((key, tensor.data))
         input_meta[key] = meta
 
     param_bindings = []
@@ -1362,7 +1454,8 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
         raise PlanUnsupported("no parameter receives a gradient in the traced step")
 
     stats = {
-        "forward_instructions": len(fused_forward),
+        "forward_instructions": sum(len(phase) for phase in fused_phases),
+        "loss_head_instructions": len(fused_phases[1]),
         "backward_instructions": len(backward_instructions),
         "fused_activations": fused,
         "specialized_backward": specialized_backward,
@@ -1372,11 +1465,13 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
         "traced_nodes": len(trace.entries),
     }
     return TrainStepPlan(
-        input_buffers=tuple(input_buffers),
+        forward_inputs=tuple(input_buffers[0]),
+        loss_inputs=tuple(input_buffers[1]),
         input_meta=input_meta,
         param_bindings=tuple(param_bindings),
         unused_params=tuple(unused_params),
-        forward=tuple(fused_forward),
+        forward=fused_phases[0],
+        loss_head=fused_phases[1],
         backward=tuple(backward_instructions),
         optimizer=optimizer,
         grad_clip=grad_clip,

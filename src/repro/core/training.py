@@ -11,10 +11,16 @@ lowered by :mod:`repro.core.train_plan` to a flat instruction plan
 (forward + backward + optimizer update on preallocated buffers).  Later
 steps with the same shapes replay the plan; anything the tracer cannot
 lower (dropout, custom ops) falls back to the eager tape transparently.
+
+A step can also run in two phases, :meth:`Trainer.begin_step` (forward to
+the logits) and :meth:`Trainer.finish_step` (loss, backward, update),
+optionally against a peer network's logits: this is how mutual learning
+(:mod:`repro.core.distillation`) interleaves two trainers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,10 +33,15 @@ from repro.core.config import TrainingConfig
 from repro.core.train_plan import PlanUnsupported, TrainStepPlan, compile_train_step
 from repro.data.loader import DataLoader
 from repro.nn.complex import ComplexTensor
-from repro.nn.losses import cross_entropy, smoothed_targets
+from repro.nn.losses import (
+    cross_entropy,
+    kl_divergence,
+    smoothed_targets,
+    softened_distribution,
+)
 from repro.nn.module import Module
 from repro.optim import SGD, Adam, CosineAnnealingLR, MultiStepLR
-from repro.tensor.tensor import Tensor, mark_trace_input, no_grad, trace_tape
+from repro.tensor.tensor import TapeTrace, Tensor, mark_trace_input, no_grad, trace_tape
 
 
 def prepare_batch(images: np.ndarray, scheme: Optional[AssignmentScheme]):
@@ -98,6 +109,25 @@ class TrainingHistory:
         return self.test_accuracy[-1] if self.test_accuracy else 0.0
 
 
+@dataclass
+class _PendingStep:
+    """A step between :meth:`Trainer.begin_step` and :meth:`Trainer.finish_step`."""
+
+    labels: np.ndarray
+    distill: bool
+    #: the compiled plan replaying this step, if any
+    plan: Optional[TrainStepPlan] = None
+    #: eager (and traced) steps: the logits tensor of the forward phase
+    logits: Optional[Tensor] = None
+    #: traced steps: the tape being recorded and the plan key it compiles to
+    trace: Optional[TapeTrace] = None
+    key: Optional[Tuple] = None
+
+    def tracing(self):
+        """Record into this step's tape, if it is being traced."""
+        return trace_tape(self.trace) if self.trace is not None else contextlib.nullcontext()
+
+
 def _plan_enabled_from_env(default: bool) -> bool:
     """Resolve the ``REPRO_TRAIN_PLAN`` override (``0``/``1``)."""
     value = os.environ.get("REPRO_TRAIN_PLAN")
@@ -140,6 +170,7 @@ class Trainer:
         self._plan_enabled = _plan_enabled_from_env(compile_train_step)
         self._plans: Dict[Tuple, TrainStepPlan] = {}
         self._plan_fallback_reason: Optional[str] = None
+        self._pending: Optional[_PendingStep] = None
 
     def _build_optimizer(self):
         params = self.model.parameters()
@@ -171,63 +202,95 @@ class Trainer:
 
     def train_step(self, images: np.ndarray, labels: np.ndarray):
         """One optimizer update; returns ``(batch loss, predicted labels)``."""
+        self.begin_step(images, labels)
+        return self.finish_step()
+
+    def begin_step(self, images: np.ndarray, labels: np.ndarray,
+                   distill: bool = False) -> np.ndarray:
+        """Forward phase of one step; returns the logits array.
+
+        The logits stay valid until the next step begins.  ``distill`` says
+        the matching :meth:`finish_step` gets a peer network's logits and adds
+        the mutual-learning term ``alpha * kl_divergence(logits, peer)`` with
+        the config's ``distillation_alpha`` and ``distillation_temperature``
+        (ignored when alpha is 0, where the term vanishes).
+        """
+        pending = _PendingStep(labels=labels,
+                               distill=distill and self.config.distillation_alpha > 0)
         if self._plan_enabled and self.model.training:
-            return self._planned_step(images, labels)
-        return self._eager_step(images, labels)
-
-    def _eager_step(self, images: np.ndarray, labels: np.ndarray):
-        """The reference step: graph walk, closure backward, optimizer loop."""
+            key = (np.shape(images), np.shape(labels), pending.distill)
+            pending.plan = self._plans.get(key)
+            if (pending.plan is None and self._plan_fallback_reason is None
+                    and len(self._plans) < self.MAX_PLANS):
+                pending.trace, pending.key = TapeTrace(), key
+                # the traced input leaves become the plan's input buffers and
+                # later batches are copied into them: trace a private copy so
+                # they never alias the caller's array (assignments may return
+                # views of the images)
+                images = np.array(images, copy=True)
+        self._pending = pending
+        if pending.plan is not None:
+            return pending.plan.forward(self._forward_inputs(images))
         self.optimizer.zero_grad()
-        logits = self.model(prepare_batch(images, self.scheme))
-        loss = cross_entropy(logits, labels, label_smoothing=self.config.label_smoothing)
-        loss.backward()
-        if self.config.grad_clip:
-            self.optimizer.clip_grad_norm(self.config.grad_clip)
-        self.optimizer.step()
-        apply_parameter_constraints(self.model)
-        return float(loss.data), logits.data.argmax(axis=1)
+        with pending.tracing():
+            pending.logits = self.model(prepare_batch(images, self.scheme))
+        return pending.logits.data
 
-    def _planned_step(self, images: np.ndarray, labels: np.ndarray):
-        key = (np.shape(images), np.shape(labels))
-        plan = self._plans.get(key)
-        if plan is None:
-            if self._plan_fallback_reason is not None or len(self._plans) >= self.MAX_PLANS:
-                return self._eager_step(images, labels)
-            return self._trace_step(key, images, labels)
-        loss, predictions = plan.execute(self._plan_inputs(images, labels, plan.input_meta))
-        apply_parameter_constraints(self.model)
-        return loss, predictions
+    def finish_step(self, peer_logits: Optional[np.ndarray] = None):
+        """Loss, backward and update of the step begun by :meth:`begin_step`.
 
-    def _trace_step(self, key, images: np.ndarray, labels: np.ndarray):
-        """Run one eager step under the tape tracer and lower it to a plan."""
-        self.optimizer.zero_grad()
-        with trace_tape() as trace:
-            logits = self.model(prepare_batch(images, self.scheme))
-            loss = cross_entropy(logits, labels,
+        Returns ``(batch loss, predicted labels)``.  ``peer_logits``, the
+        peer's ``(batch, classes)`` logits on the same images, is required
+        when the step was begun with ``distill=True``.
+        """
+        pending, self._pending = self._pending, None
+        if pending is None:
+            raise RuntimeError("finish_step() called without begin_step()")
+        if not pending.distill:
+            peer_logits = None
+        elif peer_logits is None:
+            raise ValueError("a distillation step needs the peer's logits")
+        if pending.plan is not None:
+            loss, predictions = pending.plan.finish(
+                self._loss_inputs(pending.labels, peer_logits, pending.plan.input_meta))
+            apply_parameter_constraints(self.model)
+            return loss, predictions
+        logits = pending.logits
+        with pending.tracing():
+            loss = cross_entropy(logits, pending.labels,
                                  label_smoothing=self.config.label_smoothing)
-        loss.backward()
+            if peer_logits is not None:
+                loss = loss + self.config.distillation_alpha * kl_divergence(
+                    logits, peer_logits, temperature=self.config.distillation_temperature)
+            # under a trace the backward also records each closure's gradient
+            # pattern, which the plan compiler lowers
+            loss.backward()
         if self.config.grad_clip:
             self.optimizer.clip_grad_norm(self.config.grad_clip)
         self.optimizer.step()
         apply_parameter_constraints(self.model)
-        try:
-            self._plans[key] = compile_train_step(trace, loss, logits, self.optimizer,
-                                                  grad_clip=self.config.grad_clip)
-        except PlanUnsupported as reason:
-            # models the tracer cannot replay keep the eager path for good
-            self._plan_fallback_reason = str(reason)
+        if pending.trace is not None:
+            try:
+                self._plans[pending.key] = compile_train_step(
+                    pending.trace, loss, logits, self.optimizer,
+                    grad_clip=self.config.grad_clip)
+            except PlanUnsupported as reason:
+                # models the tracer cannot replay keep the eager path for good
+                self._plan_fallback_reason = str(reason)
         return float(loss.data), logits.data.argmax(axis=1)
 
-    def _plan_inputs(self, images: np.ndarray, labels: np.ndarray,
-                     input_meta: dict) -> Dict[str, np.ndarray]:
-        """The per-batch arrays a compiled plan copies into its input leaves."""
-        values: Dict[str, np.ndarray] = {}
+    def _forward_inputs(self, images: np.ndarray) -> Dict[str, np.ndarray]:
+        """The per-batch arrays a plan's forward phase copies into its input leaves."""
         if self.scheme is None:
-            values["input"] = np.asarray(images, dtype=float)
-        else:
-            result = self.scheme.assign(images)
-            values["input_real"] = result.real
-            values["input_imag"] = result.imag
+            return {"input": np.asarray(images, dtype=float)}
+        result = self.scheme.assign(images)
+        return {"input_real": result.real, "input_imag": result.imag}
+
+    @staticmethod
+    def _loss_inputs(labels: np.ndarray, peer_logits: Optional[np.ndarray],
+                     input_meta: dict) -> Dict[str, np.ndarray]:
+        """The per-step arrays a plan's finish phase copies into its loss-target leaves."""
+        values: Dict[str, np.ndarray] = {}
         target_meta = input_meta.get("cross_entropy_targets")
         if target_meta is not None:
             values["cross_entropy_targets"] = smoothed_targets(
@@ -236,6 +299,10 @@ class Trainer:
                 target_meta["label_smoothing"],
                 target_meta["dtype"],
             )
+        kd_meta = input_meta.get("kd_target_probs")
+        if kd_meta is not None:
+            values["kd_target_probs"], values["kd_target_log_probs"] = \
+                softened_distribution(peer_logits, kd_meta["temperature"])
         return values
 
     def fit(self, train_loader: DataLoader, test_loader: Optional[DataLoader] = None,

@@ -79,7 +79,23 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     return (difference * difference).mean()
 
 
-def kl_divergence(student_logits: Tensor, teacher_logits: Tensor,
+def softened_distribution(logits: np.ndarray, temperature: float):
+    """``(probs, log_probs)`` of ``logits / temperature``, computed outside the graph.
+
+    The float operations are exactly those of ``F.softmax`` and
+    ``F.log_softmax`` (shift by the row max, exponentiate, normalise; the
+    log-sum-exp reuses the same exponentials).  Shared with the train-plan
+    compiler, which recomputes the peer distribution for each new batch and
+    copies it into the traced KD target leaves.
+    """
+    scaled = np.asarray(logits) / temperature
+    shifted_max = scaled.max(axis=-1, keepdims=True)
+    exps = np.exp(scaled - shifted_max)
+    sum_exps = exps.sum(axis=-1, keepdims=True)
+    return exps / sum_exps, scaled - (np.log(sum_exps) + shifted_max)
+
+
+def kl_divergence(student_logits: Tensor, teacher_logits: Union[Tensor, np.ndarray],
                   temperature: float = 1.0) -> Tensor:
     """``KL(teacher || student)`` on temperature-softened distributions.
 
@@ -92,10 +108,15 @@ def kl_divergence(student_logits: Tensor, teacher_logits: Tensor,
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     student_logits = ensure_tensor(student_logits)
-    teacher_logits = ensure_tensor(teacher_logits).detach()
+    if isinstance(teacher_logits, Tensor):
+        teacher_logits = teacher_logits.data
+    probs, log_probs = softened_distribution(teacher_logits, temperature)
+    teacher_probs = Tensor(probs)
+    teacher_log_probs = Tensor(log_probs)
+    meta = {"temperature": float(temperature)}
+    mark_trace_input(teacher_probs, "kd_target_probs", meta)
+    mark_trace_input(teacher_log_probs, "kd_target_log_probs", meta)
     student_log_probs = F.log_softmax(student_logits / temperature, axis=-1)
-    teacher_probs = F.softmax(Tensor(teacher_logits.data / temperature), axis=-1)
-    teacher_log_probs = F.log_softmax(Tensor(teacher_logits.data / temperature), axis=-1)
     divergence = (teacher_probs * (teacher_log_probs - student_log_probs)).sum(axis=-1).mean()
     return divergence * (temperature ** 2)
 

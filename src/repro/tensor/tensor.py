@@ -86,24 +86,33 @@ class TapeTrace:
     ``inputs`` maps a caller-chosen key to ``(leaf tensor, meta)`` for leaves
     whose data changes every step (the image batch, the loss targets);
     ``volatile`` collects reasons why the traced step cannot be replayed
-    (data-dependent constants such as dropout masks).
+    (data-dependent constants such as dropout masks).  ``contributions``
+    maps ``id(node)`` to the gradient pattern its backward closure returned
+    when :meth:`Tensor.backward` ran under the trace: per parent, ``None`` or
+    the contribution's ``(shape, dtype)``.
     """
 
     def __init__(self):
         self.entries: List[TapeEntry] = []
         self.inputs: Dict[str, Tuple["Tensor", dict]] = {}
         self.volatile: List[str] = []
+        self.contributions: Dict[int, Tuple[Optional[Tuple[Tuple[int, ...], np.dtype]], ...]] = {}
 
 
 _ACTIVE_TRACE: Optional[TapeTrace] = None
 
 
 @contextlib.contextmanager
-def trace_tape():
-    """Record every node created inside the context into a :class:`TapeTrace`."""
+def trace_tape(trace: Optional[TapeTrace] = None):
+    """Record every node created inside the context into a :class:`TapeTrace`.
+
+    Passing an existing ``trace`` resumes recording into it, so one step can
+    be traced in phases with untraced work in between.
+    """
     global _ACTIVE_TRACE
     previous = _ACTIVE_TRACE
-    trace = TapeTrace()
+    if trace is None:
+        trace = TapeTrace()
     _ACTIVE_TRACE = trace
     try:
         yield trace
@@ -333,6 +342,9 @@ class Tensor:
                     f"backward closure returned {len(parent_grads)} gradients "
                     f"for {len(node._parents)} parents"
                 )
+            if _ACTIVE_TRACE is not None:
+                _ACTIVE_TRACE.contributions[id(node)] = tuple(
+                    None if g is None else (g.shape, g.dtype) for g in parent_grads)
             for parent, parent_grad in zip(node._parents, parent_grads):
                 if parent_grad is None or not parent.requires_grad:
                     continue

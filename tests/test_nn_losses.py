@@ -104,6 +104,37 @@ class TestKLDivergence:
             kl_divergence(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))),
                           temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [1.0, 2.0, 3.7])
+    def test_bit_identical_to_graph_softmax_formulation(self, rng, temperature):
+        """The out-of-graph peer distribution matches F.softmax / F.log_softmax exactly."""
+        from repro.tensor import functional as F
+
+        for scale in (0.1, 1.0, 30.0):
+            student_logits = scale * rng.normal(size=(16, 10))
+            teacher_logits = scale * rng.normal(size=(16, 10))
+            ours_input = Tensor(student_logits.copy(), requires_grad=True)
+            graph_input = Tensor(student_logits.copy(), requires_grad=True)
+            ours = kl_divergence(ours_input, teacher_logits, temperature=temperature)
+            scaled = Tensor(teacher_logits / temperature)
+            graph = (F.softmax(scaled, axis=-1)
+                     * (F.log_softmax(scaled, axis=-1)
+                        - F.log_softmax(graph_input / temperature, axis=-1))
+                     ).sum(axis=-1).mean() * (temperature ** 2)
+            ours.backward()
+            graph.backward()
+            assert ours.data == graph.data
+            assert np.array_equal(ours_input.grad, graph_input.grad)
+
+    def test_peer_distribution_is_a_replayable_trace_input(self, rng):
+        from repro.tensor.tensor import trace_tape
+
+        with trace_tape() as trace:
+            kl_divergence(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                          rng.normal(size=(4, 3)), temperature=2.0)
+        assert not trace.volatile
+        assert {"kd_target_probs", "kd_target_log_probs"} <= set(trace.inputs)
+        assert trace.inputs["kd_target_probs"][1] == {"temperature": 2.0}
+
     def test_module_wrapper(self, rng):
         loss_fn = KLDivergenceLoss(temperature=2.0)
         value = loss_fn(Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))))

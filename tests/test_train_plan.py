@@ -12,12 +12,15 @@ import pytest
 
 from repro.assignment import get_scheme
 from repro.core.config import TrainingConfig
-from repro.core.training import Trainer
+from repro.core.train_plan import PlanUnsupported, compile_train_step
+from repro.core.training import Trainer, prepare_batch
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.nn import Dropout, Linear, Module, ReLU, Sequential
+from repro.nn.losses import cross_entropy
 from repro.tensor.random import seed_all
+from repro.tensor.tensor import trace_tape
 
 
 def flat_dataset(rng):
@@ -75,6 +78,12 @@ def assert_state_dicts_equal(eager_model, planned_model):
     assert not mismatched, f"state diverged at {mismatched}"
 
 
+def plan_inputs(trainer, images, labels, plan):
+    """Every per-step array of ``plan.execute`` for a cross-entropy step."""
+    return {**trainer._forward_inputs(images),
+            **trainer._loss_inputs(labels, None, plan.input_meta)}
+
+
 class TestTrajectoryParity:
     """Planned and eager runs must be bit-identical, not merely close."""
 
@@ -117,6 +126,105 @@ class TestTrajectoryParity:
             assert plan_stats["parameter_gradients"] > 0
 
 
+class TestCompilation:
+    """What the compiler emits, and what it must not run while compiling."""
+
+    #: forward / backward instruction counts and specialized backward builders
+    #: of each model's plans, pinned since the compiler stopped dry-running
+    #: the backward closures
+    EXPECTED_STATS = {
+        "fcnn": (18, 24, 2),
+        "lenet": (25, 45, 5),
+        "resnet": (50, 86, 28),
+    }
+
+    @pytest.mark.parametrize("name,optimizer", [
+        ("fcnn", "sgd"),
+        ("lenet", "sgd"),
+        ("lenet", "adam"),
+        ("resnet", "sgd"),
+        ("resnet", "adam"),
+    ])
+    def test_plan_stats_are_pinned(self, name, optimizer):
+        _, trainer, _ = fit_once(name, True, optimizer)
+        plans = trainer.plan_stats["plans"]
+        assert len(plans) == 2   # full batch + tail batch
+        for plan_stats in plans.values():
+            counts = (plan_stats["forward_instructions"],
+                      plan_stats["backward_instructions"],
+                      plan_stats["specialized_backward"])
+            assert counts == self.EXPECTED_STATS[name]
+
+    def test_compile_invokes_no_backward_closure(self, rng):
+        model = build_model("resnet")
+        config = TrainingConfig(epochs=1, batch_size=4, learning_rate=0.05, seed=0)
+        trainer = Trainer(model, config, scheme=get_scheme("SI"))
+        images = rng.normal(size=(4, 2, 32, 16))
+        labels = rng.integers(0, 2, size=4)
+        with trace_tape() as trace:
+            logits = model(prepare_batch(images, get_scheme("SI")))
+            loss = cross_entropy(logits, labels)
+            loss.backward()
+        calls = []
+
+        def counted(closure):
+            def wrapper(grad):
+                calls.append(closure)
+                return closure(grad)
+            return wrapper
+
+        for entry in trace.entries:
+            if entry.backward is not None:
+                entry.backward = counted(entry.backward)
+        plan = compile_train_step(trace, loss, logits, trainer.optimizer)
+        assert calls == []
+        assert plan.stats["backward_instructions"] == self.EXPECTED_STATS["resnet"][1]
+
+    def test_backward_outside_the_trace_is_unsupported(self, rng):
+        model = build_model("fcnn")
+        trainer = Trainer(model, TrainingConfig(epochs=1, batch_size=4, seed=0),
+                          scheme=get_scheme("SI"))
+        with trace_tape() as trace:
+            logits = model(prepare_batch(rng.normal(size=(4, 1, 6, 6)), get_scheme("SI")))
+            loss = cross_entropy(logits, rng.integers(0, 2, size=4))
+        loss.backward()   # no contribution patterns recorded
+        with pytest.raises(PlanUnsupported, match="backward"):
+            compile_train_step(trace, loss, logits, trainer.optimizer)
+
+    @pytest.mark.parametrize("scheme", ["SI", "conventional"])
+    def test_replays_never_write_into_the_traced_batch(self, rng, scheme):
+        """The plan owns its input buffers, even under view-returning assignments."""
+        features = 18 if scheme == "SI" else 36
+        model = ComplexFCNN(features, (12,), 2, decoder="merge",
+                            rng=np.random.default_rng(7))
+        trainer = Trainer(model, TrainingConfig(epochs=1, batch_size=8, seed=0),
+                          scheme=get_scheme(scheme), compile_train_step=True)
+        batches = [(rng.normal(size=(8, 1, 6, 6)), rng.integers(0, 2, size=8))
+                   for _ in range(3)]
+        pristine = [images.copy() for images, _ in batches]
+        for images, labels in batches:   # trace + 2 replays
+            trainer.train_step(images, labels)
+        assert trainer.plan_stats["compiled"] == 1
+        for (images, _), original in zip(batches, pristine):
+            assert np.array_equal(images, original)
+
+    def test_phases_compose_to_execute(self, rng):
+        model = build_model("resnet")
+        config = TrainingConfig(epochs=1, batch_size=4, seed=0)
+        trainer = Trainer(model, config, scheme=get_scheme("SI"), compile_train_step=True)
+        trainer.optimizer.lr = 0.0   # every execution sees the same parameters
+        images = rng.normal(size=(4, 2, 32, 16))
+        labels = rng.integers(0, 2, size=4)
+        trainer.train_step(images, labels)   # trace + compile
+        plan = next(iter(trainer._plans.values()))
+        inputs = plan_inputs(trainer, images, labels, plan)
+        loss, predictions = plan.execute(inputs)
+        logits = plan.forward(inputs).copy()
+        assert np.array_equal(logits.argmax(axis=1), predictions)
+        assert plan.finish(inputs)[0] == loss
+        assert plan.stats["loss_head_instructions"] > 0
+
+
 class TestPlannedGradients:
     """The plan's backward pass must agree with finite differences."""
 
@@ -134,7 +242,7 @@ class TestPlannedGradients:
         trainer.train_step(images, labels)  # trace + compile
         assert trainer.plan_stats["compiled"] == 1, trainer.plan_stats
         plan = next(iter(trainer._plans.values()))
-        inputs = trainer._plan_inputs(images, labels, plan.input_meta)
+        inputs = plan_inputs(trainer, images, labels, plan)
         return model, plan, inputs
 
     def test_execute_without_update_leaves_grads_bound(self):
