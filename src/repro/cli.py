@@ -399,7 +399,7 @@ def _run_backends(args: argparse.Namespace) -> None:
                        title="Mesh execution backends (MeshDecomposition.BACKENDS)"))
     print(f"\nnative kernel: "
           f"{'loaded' if kernel is not None else 'unavailable'}")
-    for key in ("source", "compiler", "cache_dir", "forced_reference"):
+    for key in ("sources", "compiler", "cache_dir", "forced_reference"):
         if key in info:
             print(f"  {key}: {info[key]}")
     error = _native.load_error()

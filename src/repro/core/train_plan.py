@@ -38,6 +38,17 @@ them to the peer network's loss).  Scratch that lives only inside one
 instruction (padded conv inputs, column gradients, batch-norm temporaries)
 comes from one shape-keyed arena per plan instead of per instruction.
 
+Where the native library of :mod:`repro.photonics._native` is loaded, the
+split batch norm (forward and backward) and the col2im scatter of every conv
+input gradient run as fused C kernels instead of chains of numpy passes.
+Each instruction picks its body once, at compile time, from what the code
+can see: whether the library is loaded and whether the instruction's buffers
+are C-contiguous float64.  The kernels perform the numpy bodies' float
+operations in the same order -- numpy's pairwise order for every reduction,
+one rounding per multiply and add -- so both bodies give the same bits, and
+the numpy bodies remain the fallback and the parity reference.
+``TrainStepPlan.stats["native_instructions"]`` counts the native ones.
+
 Replay is bit-identical to the eager tape except for the sign of floating
 zeros in scatter-style adjoints (the eager path adds ``-0.0`` into zeros,
 producing ``+0.0``); the parity tests therefore pin trajectories with
@@ -46,10 +57,12 @@ producing ``+0.0``); the parity tests therefore pin trajectories with
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.photonics import _native
 from repro.tensor import functional as F
 from repro.tensor.tensor import TapeEntry, TapeTrace, Tensor, _unbroadcast
 
@@ -453,6 +466,45 @@ def _f_avg_pool2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     return run
 
 
+def _bn_buffers(entry: TapeEntry, ctx) -> Dict[str, np.ndarray]:
+    """The persistent intermediates of one batch-norm node.
+
+    The eager helper reallocates mean/sub/var/sq/norm per call; the plan
+    creates them once, whichever of the node's forward emitter and backward
+    builder asks first, and publishes them into the op's cache, where the
+    eager closure reads them.  For the non-affine form the node's own buffer
+    IS the normalised output, exactly as in the eager helper.
+    """
+    buffers = ctx.bn_buffers.get(id(entry.tensor))
+    if buffers is None:
+        cache = entry.params["cache"]
+        buf = entry.tensor.data
+        x_shape = entry.parents[0].data.shape
+        buffers = {
+            "mean": np.empty_like(cache["mean"]),
+            "var": np.empty_like(cache["var"]),
+            "sq": np.empty_like(cache["sq"]),
+            "sub": np.empty(x_shape, buf.dtype),
+            "norm": np.empty(x_shape, buf.dtype) if entry.params["affine"] else buf,
+        }
+        cache.update(buffers)
+        ctx.bn_buffers[id(entry.tensor)] = buffers
+    return buffers
+
+
+def _bn_geometry(entry: TapeEntry) -> Optional[Tuple[int, int, int]]:
+    """``(n, c, s)`` of a batch norm over every axis but 1, else None.
+
+    The native kernels see the input as ``(n, c, s)`` rows, which covers the
+    ``(0, 2, 3)`` reduction of BatchNorm2d and the axis-0 one of BatchNorm1d.
+    """
+    x_shape = entry.parents[0].data.shape
+    if (len(x_shape) < 2
+            or entry.params["axes_tuple"] != (0,) + tuple(range(2, len(x_shape)))):
+        return None
+    return x_shape[0], x_shape[1], math.prod(x_shape[2:])
+
+
 def _f_batch_norm(entry: TapeEntry, ctx) -> Callable[[], None]:
     node = entry.tensor
     affine = entry.params["affine"]
@@ -460,38 +512,48 @@ def _f_batch_norm(entry: TapeEntry, ctx) -> Callable[[], None]:
     weight = entry.parents[1] if affine else None
     bias = entry.parents[2] if affine else None
     axes, shape = entry.params["axes"], entry.params["shape"]
-    eps, cache = entry.params["eps"], entry.params["cache"]
+    eps = entry.params["eps"]
     num_features = entry.params["num_features"]
     stats_hook = entry.params["stats_hook"]
     buf = node.data
-    x_shape = inputs.data.shape
-    dtype = buf.dtype
-    # persistent intermediates published into the closure's cache once: the
-    # eager helper reallocates all five per call, the plan reuses them.  For
-    # the non-affine form the node's own buffer IS the normalised output,
-    # exactly as in the eager helper.
-    mean = np.empty_like(cache["mean"])
-    var = np.empty_like(cache["var"])
-    sq = np.empty_like(cache["sq"])
-    sub = np.empty(x_shape, dtype)
-    norm = np.empty(x_shape, dtype) if affine else buf
-    scratch = ctx.arena.get(x_shape, dtype)
-    cache.update(mean=mean, sub=sub, var=var, sq=sq, norm=norm)
+    buffers = _bn_buffers(entry, ctx)
+    mean, var, sq = buffers["mean"], buffers["var"], buffers["sq"]
+    sub, norm = buffers["sub"], buffers["norm"]
+    geometry = _bn_geometry(entry)
+    native = None if geometry is None else _native_call(
+        ctx, "trainops_bn_forward", inputs.data, *geometry, float(eps),
+        mean, var, sq, sub, norm, buf,
+        call_time=(weight.data, bias.data) if affine else ())
+
+    if native is not None:
+        # parameter data is passed per call: it may be rebound between steps
+        def compute():
+            if affine:
+                native(weight.data, bias.data)
+            else:
+                native(None, None)
+    else:
+        scratch = ctx.arena.get(inputs.data.shape, buf.dtype)
+
+        def compute():
+            x = inputs.data
+            np.mean(x, axis=axes, keepdims=True, out=mean)
+            np.subtract(x, mean, out=sub)
+            np.power(sub, 2, out=scratch)
+            np.mean(scratch, axis=axes, keepdims=True, out=var)
+            np.add(var, eps, out=sq)
+            np.sqrt(sq, out=sq)
+            np.divide(sub, sq, out=norm)
+            if affine:
+                np.multiply(norm, weight.data.reshape(shape), out=buf)
+                np.add(buf, bias.data.reshape(shape), out=buf)
+
+    if stats_hook is None:
+        return compute
 
     def run():
-        x = inputs.data
-        np.mean(x, axis=axes, keepdims=True, out=mean)
-        np.subtract(x, mean, out=sub)
-        np.power(sub, 2, out=scratch)
-        np.mean(scratch, axis=axes, keepdims=True, out=var)
-        np.add(var, eps, out=sq)
-        np.sqrt(sq, out=sq)
-        np.divide(sub, sq, out=norm)
-        if affine:
-            np.multiply(norm, weight.data.reshape(shape), out=buf)
-            np.add(buf, bias.data.reshape(shape), out=buf)
-        if stats_hook is not None:
-            stats_hook(mean.reshape(num_features), var.reshape(num_features))
+        compute()
+        stats_hook(mean.reshape(num_features), var.reshape(num_features))
 
     return run
 
@@ -542,7 +604,6 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     x_real, x_imag, weight_real, weight_imag = entry.parents[:4]
     bias_real = entry.parents[4] if has_bias else None
     bias_imag = entry.parents[5] if has_bias else None
-    product = entry.params["product"]
     kernel_h, kernel_w = entry.params["kernel"]
     stride_h, stride_w = entry.params["stride"]
     pad_h, pad_w = entry.params["padding"]
@@ -576,15 +637,8 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     cache["columns"] = columns
     buf_real, buf_imag = buf[0], buf[1]
     bias_shape = (1, out_channels, 1, 1)
-    if product == "block":
-        out_matrix = ctx.arena.get((2 * out_channels, n_cols), dtype)
-        out_view = out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3)
-    else:
-        a, b, c, d = (ctx.arena.get((out_channels, n_cols), dtype, slot)
-                      for slot in range(4))
-        cols_sum = ctx.arena.get((patch, n_cols), dtype, 4)
-        w_sum = np.empty((out_channels, patch), dtype)
-        plane_shape = matrix_shape[1:]
+    out_matrix = ctx.arena.get((2 * out_channels, n_cols), dtype)
+    out_view = out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3)
 
     def run():
         interior_real[...] = x_real.data.transpose(1, 2, 3, 0)
@@ -595,27 +649,13 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
                   windows[:, ::stride_h, ::stride_w].transpose(0, 4, 5, 1, 2, 3))
         wr = weight_real.data.reshape(out_channels, -1)
         wi = weight_imag.data.reshape(out_channels, -1)
-        if product == "block":
-            w_block = cache["w_block"]  # persistent block matrix, refreshed in place
-            w_block[:out_channels, :patch] = wr
-            np.negative(wi, out=w_block[:out_channels, patch:])
-            w_block[out_channels:, :patch] = wi
-            w_block[out_channels:, patch:] = wr
-            np.matmul(w_block, columns, out=out_matrix)
-            np.copyto(buf, out_view)
-        else:
-            cols_real = columns[:patch]
-            cols_imag = columns[patch:]
-            np.matmul(wr, cols_real, out=a)
-            np.matmul(wi, cols_imag, out=b)
-            np.add(wr, wi, out=w_sum)
-            np.add(cols_real, cols_imag, out=cols_sum)
-            np.matmul(w_sum, cols_sum, out=c)
-            np.subtract(a, b, out=d)
-            np.copyto(buf_real, d.reshape(plane_shape).transpose(3, 0, 1, 2))
-            np.subtract(c, a, out=c)
-            np.subtract(c, b, out=c)
-            np.copyto(buf_imag, c.reshape(plane_shape).transpose(3, 0, 1, 2))
+        w_block = cache["w_block"]  # persistent block matrix, refreshed in place
+        w_block[:out_channels, :patch] = wr
+        np.negative(wi, out=w_block[:out_channels, patch:])
+        w_block[out_channels:, :patch] = wi
+        w_block[out_channels:, patch:] = wr
+        np.matmul(w_block, columns, out=out_matrix)
+        np.copyto(buf, out_view)
         if has_bias:
             np.add(buf_real, bias_real.data.reshape(bias_shape), out=buf_real)
             np.add(buf_imag, bias_imag.data.reshape(bias_shape), out=buf_imag)
@@ -669,6 +709,28 @@ class _CompileContext:
     def __init__(self):
         self.relu_masks: Dict[int, np.ndarray] = {}
         self.arena = _ScratchArena()
+        self.bn_buffers: Dict[int, Dict[str, np.ndarray]] = {}
+        #: the native library, resolved once per compile (None: numpy only)
+        self.kernel = _native.kernel()
+        self.native_instructions = 0
+
+
+def _native_call(ctx: _CompileContext, name: str, *args, call_time=()):
+    """Kernel ``name`` bound to ``args``, or None to keep the numpy body.
+
+    Decided once per instruction, at compile time: the native library must
+    be loaded and every array argument -- bound now or passed per call
+    (``call_time``) -- a C-contiguous float64 buffer.  The bound call holds
+    its arrays, so their memory outlives the plan's compile.
+    """
+    if ctx.kernel is None:
+        return None
+    for array in args + tuple(call_time):
+        if isinstance(array, np.ndarray) and (
+                array.dtype != np.float64 or not array.flags.c_contiguous):
+            return None
+    ctx.native_instructions += 1
+    return ctx.kernel.bind(name, *args)
 
 
 # --------------------------------------------------------------------------- #
@@ -731,7 +793,9 @@ def _b_getitem(grad_in: np.ndarray, slot: np.ndarray, index,
 # arrays) and then copies into the persistent slots.  For the three dominant
 # ops the builders below replay the closure's float operations ufunc-by-ufunc
 # -- same operations, same order, so bit-identical -- against compile-time
-# scratch, writing gradients directly into the slots.  Each builder may return
+# scratch, writing gradients directly into the slots; the batch-norm backward
+# and the conv input-gradient scatter run the same operations in one native
+# kernel when the library is loaded.  Each builder may return
 # ``None`` (an accumulation pattern it does not cover), in which case the
 # caller falls back to the generic closure instruction.
 # --------------------------------------------------------------------------- #
@@ -763,6 +827,17 @@ def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray, targets,
     x_slot, x_first = by_pos[0]
     w_slot = by_pos[1][0] if 1 in by_pos else None
     b_slot = by_pos[2][0] if 2 in by_pos else None
+    geometry = _bn_geometry(entry)
+    if geometry is not None:
+        buffers = _bn_buffers(entry, ctx)
+        native = _native_call(
+            ctx, "trainops_bn_backward", grad_in, *geometry, buffers["sub"],
+            buffers["sq"], buffers["norm"], x_slot, int(not x_first), w_slot,
+            b_slot, call_time=(weight.data,) if affine else ())
+        if native is not None:
+            if affine:
+                return lambda: native(weight.data)
+            return lambda: native(None)
     dtype = grad_in.dtype
     s1 = ctx.arena.get(x_shape, dtype, 0)
     s2 = ctx.arena.get(x_shape, dtype, 1)
@@ -911,13 +986,14 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
 
     Returns ``run(columns) -> (top_plane, bottom_plane)`` where the planes are
     views of shape ``(batch, split, height, width)`` /
-    ``(batch, channels - split, height, width)``.  Mirrors the strategy
-    selection and the per-element accumulation order of
-    :func:`F._col2im_fast` exactly, so the scattered gradients are
-    bit-identical; the shifted-accumulation strategy additionally stores its
-    accumulator channel-major ``(C, Hp, Wp, batch)``, which makes both sides
-    of every shifted add near-contiguous (measured ~12x faster on the
-    ResNet stage-1 geometry) without touching any element's add order.
+    ``(batch, channels - split, height, width)``.  Exact tilings copy, as
+    :func:`F._col2im_fast` does; every other geometry takes the shifted
+    accumulation, whose per-element add order -- onto +0.0, in ``(kh, kw)``
+    order -- is also the order of :func:`F._col2im_fast`'s bincount scatter,
+    so the scattered gradients are bit-identical to the eager ones.  The
+    accumulator is stored channel-major ``(C, Hp, Wp, batch)``, which makes
+    both sides of every shifted add near-contiguous (measured ~12x faster on
+    the ResNet stage-1 geometry) without touching any element's add order.
     The planes are views of ``arena`` scratch at ``slot``: the caller must
     consume them before its instruction returns.
     """
@@ -939,16 +1015,6 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
                                       out_h, out_w, batch)
             tiles[...] = windows.transpose(5, 0, 3, 1, 4, 2)
             return planes
-
-        return run
-
-    block = batch * channels * out_h * out_w
-    if block < F.COL2IM_BINCOUNT_BLOCK_LIMIT:
-        # the bincount scatter allocates its own flat output; reuse as-is
-        def run(columns):
-            image = F._col2im_fast(columns, input_shape, kernel_size,
-                                   stride, padding)
-            return image[:, :split_channels], image[:, split_channels:]
 
         return run
 
@@ -982,14 +1048,12 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray, targets,
            for position in (2, 3, 4, 5)):
         return None  # accumulated weight/bias gradients: keep the closure
     params = entry.params
-    product = params["product"]
     cache = params["cache"]
     patch = params["patch"]
     in_channels = params["in_channels"]
     out_channels = params["out_channels"]
     kernel, stride, padding = params["kernel"], params["stride"], params["padding"]
     stacked_shape = params["stacked_shape"]
-    x_real, x_imag, weight_real, weight_imag = entry.parents[:4]
     dtype = grad_in.dtype
     n_cols = grad_in[0].size // out_channels
     grad_source = grad_in.transpose(0, 2, 3, 4, 1)
@@ -1000,6 +1064,15 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray, targets,
     grad_i = grad_matrix[out_channels:]
     needs_input = 0 in by_pos or 1 in by_pos
     needs_weight = 2 in by_pos or 3 in by_pos
+    xr_slot, xr_first = by_pos.get(0, (None, True))
+    xi_slot, xi_first = by_pos.get(1, (None, True))
+    wr_slot = by_pos[2][0].reshape(out_channels, patch) if 2 in by_pos else None
+    wi_slot = by_pos[3][0].reshape(out_channels, patch) if 3 in by_pos else None
+    br_slot = by_pos[4][0] if 4 in by_pos else None
+    bi_slot = by_pos[5][0] if 5 in by_pos else None
+    if needs_weight:
+        dw_block = np.empty((2 * out_channels, 2 * patch), dtype)
+    scatter = None
     if needs_input:
         dcols = arena.get((2 * patch, n_cols), dtype, 1)
         if F.reference_kernels_enabled():
@@ -1008,80 +1081,42 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray, targets,
                                            stride, padding)
                 return image[:, :in_channels], image[:, in_channels:]
         else:
-            col2im_fn = _make_col2im_planes(stacked_shape, in_channels, kernel,
-                                            stride, padding, dtype, arena, 2)
-    if product == "block":
-        if needs_weight:
-            dw_block = np.empty((2 * out_channels, 2 * patch), dtype)
-    else:
-        grad_sum = (arena.get((out_channels, n_cols), dtype, 3)
-                    if (needs_input or needs_weight) else None)
-        if needs_weight:
-            p1 = np.empty((out_channels, patch), dtype)
-            p2 = np.empty((out_channels, patch), dtype)
-            cols_diff = arena.get((patch, n_cols), dtype, 4)
-            t_w = np.empty((out_channels, patch), dtype)
-        if needs_input:
-            q1 = arena.get((patch, n_cols), dtype, 5)
-            q2 = arena.get((patch, n_cols), dtype, 6)
-            w_diff = np.empty((out_channels, patch), dtype)
-
-    xr_slot, xr_first = by_pos.get(0, (None, True))
-    xi_slot, xi_first = by_pos.get(1, (None, True))
-    wr_slot = by_pos[2][0].reshape(out_channels, patch) if 2 in by_pos else None
-    wi_slot = by_pos[3][0].reshape(out_channels, patch) if 3 in by_pos else None
-    br_slot = by_pos[4][0] if 4 in by_pos else None
-    bi_slot = by_pos[5][0] if 5 in by_pos else None
+            # the native scatter writes (or adds) both gradient planes in
+            # one pass, with the numpy scatter's per-element add order
+            scatter = _native_call(
+                ctx, "trainops_col2im_planes", dcols, *stacked_shape, *kernel,
+                *stride, *padding, *params["out_hw"], in_channels,
+                xr_slot, int(not xr_first), xi_slot, int(not xi_first))
+            if scatter is None:
+                col2im_fn = _make_col2im_planes(stacked_shape, in_channels, kernel,
+                                                stride, padding, dtype, arena, 2)
 
     def run():
         np.copyto(grad_view, grad_source)
-        if product == "block":
-            if needs_weight:
-                np.matmul(grad_matrix, cache["columns"].T, out=dw_block)
-                if wr_slot is not None:
-                    np.add(dw_block[:out_channels, :patch],
-                           dw_block[out_channels:, patch:], out=wr_slot)
-                if wi_slot is not None:
-                    np.subtract(dw_block[out_channels:, :patch],
-                                dw_block[:out_channels, patch:], out=wi_slot)
-            if needs_input:
-                np.matmul(cache["w_block"].T, grad_matrix, out=dcols)
-        else:
-            cols = cache["columns"]
-            if grad_sum is not None:
-                np.add(grad_r, grad_i, out=grad_sum)
-            if needs_weight:
-                np.matmul(grad_r, cols[:patch].T, out=p1)
-                np.matmul(grad_i, cols[patch:].T, out=p2)
-                if wr_slot is not None:
-                    np.add(p1, p2, out=wr_slot)
-                if wi_slot is not None:
-                    np.subtract(cols[:patch], cols[patch:], out=cols_diff)
-                    np.matmul(grad_sum, cols_diff.T, out=t_w)
-                    np.subtract(t_w, p1, out=t_w)
-                    np.add(t_w, p2, out=wi_slot)
-            if needs_input:
-                bwr = weight_real.data.reshape(out_channels, -1)
-                bwi = weight_imag.data.reshape(out_channels, -1)
-                np.matmul(bwr.T, grad_r, out=q1)
-                np.matmul(bwi.T, grad_i, out=q2)
-                np.add(q1, q2, out=dcols[:patch])
-                np.subtract(bwr, bwi, out=w_diff)
-                np.matmul(w_diff.T, grad_sum, out=dcols[patch:])
-                np.subtract(dcols[patch:], q1, out=dcols[patch:])
-                np.add(dcols[patch:], q2, out=dcols[patch:])
+        if needs_weight:
+            np.matmul(grad_matrix, cache["columns"].T, out=dw_block)
+            if wr_slot is not None:
+                np.add(dw_block[:out_channels, :patch],
+                       dw_block[out_channels:, patch:], out=wr_slot)
+            if wi_slot is not None:
+                np.subtract(dw_block[out_channels:, :patch],
+                            dw_block[:out_channels, patch:], out=wi_slot)
         if needs_input:
-            dx_real, dx_imag = col2im_fn(dcols)
-            if xr_slot is not None:
-                if xr_first:
-                    np.copyto(xr_slot, dx_real)
-                else:
-                    np.add(xr_slot, dx_real, out=xr_slot)
-            if xi_slot is not None:
-                if xi_first:
-                    np.copyto(xi_slot, dx_imag)
-                else:
-                    np.add(xi_slot, dx_imag, out=xi_slot)
+            np.matmul(cache["w_block"].T, grad_matrix, out=dcols)
+            if scatter is not None:
+                scatter()
+            else:
+                dx_real, dx_imag = col2im_fn(dcols)
+                if xr_slot is not None:
+                    if xr_first:
+                        np.copyto(xr_slot, dx_real)
+                    else:
+                        np.add(xr_slot, dx_real, out=xr_slot)
+                if xi_slot is not None:
+                    if xi_first:
+                        np.copyto(xi_slot, dx_imag)
+                    else:
+                        np.add(xi_slot, dx_imag, out=xi_slot)
         if br_slot is not None:
             np.sum(grad_r, axis=1, out=br_slot)
         if bi_slot is not None:
@@ -1455,6 +1490,7 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
 
     stats = {
         "forward_instructions": sum(len(phase) for phase in fused_phases),
+        "native_instructions": ctx.native_instructions,
         "loss_head_instructions": len(fused_phases[1]),
         "backward_instructions": len(backward_instructions),
         "fused_activations": fused,

@@ -26,10 +26,9 @@ class ComplexConv2d(Module):
     The forward pass routes through the fused kernel
     :func:`~repro.nn.complex.cfunctional.complex_conv2d`: one im2col over
     the stacked real/imaginary planes (instead of four real convolutions
-    each extracting their own columns) and, by default, the Eq. (2) real
-    block product ``[[Wr, -Wi], [Wi, Wr]]`` as a single wide matmul per
-    direction (the 3-mult Karatsuba product is available via the kernel's
-    ``product=`` argument).  :meth:`forward_reference` keeps the literal
+    each extracting their own columns) and the Eq. (2) real block product
+    ``[[Wr, -Wi], [Wi, Wr]]`` as a single wide matmul per direction.
+    :meth:`forward_reference` keeps the literal
     4-real-convolution formulation above as an executable specification,
     and the two are gradcheck-parity-pinned to 1e-8 in the test-suite.
 

@@ -12,13 +12,15 @@ interface while computing with:
 * **one column extraction per input plane** -- ``im2col`` runs once for the
   real part and once for the imaginary part, and the backward closure reuses
   the cached columns;
-* **the 3-multiplication (Karatsuba) complex product** instead of 4::
+* **fewer, wider products** -- the linear kernel uses the 3-multiplication
+  (Karatsuba) complex product instead of 4::
 
       A = Wr Xr,  B = Wi Xi,  C = (Wr + Wi)(Xr + Xi)
       Re = A - B,  Im = C - A - B
 
-  applied to the forward matmuls and to both backward products (gradients
-  w.r.t. inputs and weights), cutting 4 + 8 matmuls down to 3 + 6;
+  in the forward matmuls and both backward products (3 + 6 matmuls instead
+  of 4 + 8); the convolution kernel applies the real block expansion of the
+  complex weight as one matmul per direction;
 * **a joint autograd node**: the real/imaginary outputs are two views of one
   packed ``(2, ...)`` tensor, so the hand-written backward fires once with
   both upstream gradients and shares every intermediate.
@@ -164,8 +166,7 @@ def complex_conv2d(inputs: ComplexTensor,
                    bias_real: Optional[Tensor] = None,
                    bias_imag: Optional[Tensor] = None,
                    stride: IntPair = 1,
-                   padding: IntPair = 0,
-                   product: str = "block") -> ComplexTensor:
+                   padding: IntPair = 0) -> ComplexTensor:
     """Fused complex 2-D cross-correlation on split tensors.
 
     The real and imaginary planes are stacked along the channel axis, so one
@@ -175,24 +176,14 @@ def complex_conv2d(inputs: ComplexTensor,
     planes back.  The backward closure reuses the cached forward columns for
     the weight gradients.
 
-    ``product`` picks the complex-product strategy on the shared columns:
-
-    * ``"block"`` (default): the Eq. (2) real block expansion
-      ``[[Wr, -Wi], [Wi, Wr]]`` applied as a *single* matrix product per
-      direction (one forward, two backward).  The paper's convolution kernels
-      are thin (small ``out_channels`` x ``C * kh * kw``), so their matmuls
-      are memory-bound and one wide product beats three thin ones -- measured
-      ~2x faster than Karatsuba on the LeNet/ResNet shapes.
-    * ``"karatsuba"``: the 3-multiplication complex product
-      ``A = Wr Xr, B = Wi Xi, C = (Wr + Wi)(Xr + Xi)`` with 3 matmuls forward
-      and 6 backward.  Fewer FLOPs, more passes over the column arrays; wins
-      only when the kernel matrices are large enough to be compute-bound.
-
-    Both strategies share the same cached columns and are gradcheck-pinned
-    against :func:`complex_conv2d_reference`.
+    The complex product is the Eq. (2) real block expansion
+    ``[[Wr, -Wi], [Wi, Wr]]`` applied as a *single* matrix product per
+    direction (one forward, two backward).  The paper's convolution kernels
+    are thin (small ``out_channels`` x ``C * kh * kw``), so their matmuls are
+    memory-bound and one wide product beats the three thin ones of a
+    Karatsuba product.  Gradcheck-pinned against
+    :func:`complex_conv2d_reference`.
     """
-    if product not in ("block", "karatsuba"):
-        raise ValueError(f"unknown complex product strategy {product!r}")
     if not isinstance(inputs, ComplexTensor):
         inputs = ComplexTensor(inputs)
     x_real, x_imag = inputs.real, inputs.imag
@@ -217,34 +208,22 @@ def complex_conv2d(inputs: ComplexTensor,
     # top `patch` column rows the real plane and the bottom the imaginary one
     stacked = np.concatenate([x_real.data, x_imag.data], axis=1)
     columns, (out_h, out_w) = im2col(stacked, kernel, stride, padding)
-    cols_real = columns[:patch]
-    cols_imag = columns[patch:]
     wr = weight_real.data.reshape(out_channels, -1)
     wi = weight_imag.data.reshape(out_channels, -1)
     cache = {"columns": columns}
 
     matrix_shape = (2, out_channels, out_h, out_w, batch)
-    if product == "block":
-        # W2 = [[Wr, -Wi], [Wi, Wr]]: one wide matmul yields both planes
-        w_block = np.empty((2 * out_channels, 2 * patch),
-                           dtype=np.result_type(wr, wi))
-        w_block[:out_channels, :patch] = wr
-        np.negative(wi, out=w_block[:out_channels, patch:])
-        w_block[out_channels:, :patch] = wi
-        w_block[out_channels:, patch:] = wr
-        cache["w_block"] = w_block
-        out_matrix = w_block @ columns
-        out = np.ascontiguousarray(
-            out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3))
-    else:
-        a = wr @ cols_real
-        b = wi @ cols_imag
-        c = (wr + wi) @ (cols_real + cols_imag)
-        out = np.empty((2, batch, out_channels, out_h, out_w), dtype=a.dtype)
-        out[0] = np.subtract(a, b).reshape(matrix_shape[1:]).transpose(3, 0, 1, 2)
-        c -= a
-        c -= b
-        out[1] = c.reshape(matrix_shape[1:]).transpose(3, 0, 1, 2)
+    # W2 = [[Wr, -Wi], [Wi, Wr]]: one wide matmul yields both planes
+    w_block = np.empty((2 * out_channels, 2 * patch),
+                       dtype=np.result_type(wr, wi))
+    w_block[:out_channels, :patch] = wr
+    np.negative(wi, out=w_block[:out_channels, patch:])
+    w_block[out_channels:, :patch] = wi
+    w_block[out_channels:, patch:] = wr
+    cache["w_block"] = w_block
+    out_matrix = w_block @ columns
+    out = np.ascontiguousarray(
+        out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3))
     has_bias = bias_real is not None
     if has_bias:
         bias_shape = (1, out_channels, 1, 1)
@@ -260,46 +239,22 @@ def complex_conv2d(inputs: ComplexTensor,
     weight_shape = weight_real.shape
 
     def backward(grad):
-        # forward intermediates come from the cache and weights are read at
-        # call time, so a replayed plan that refreshes the cache per step can
-        # reuse this closure unchanged
+        # forward intermediates come from the cache, so a replayed plan that
+        # refreshes the cache per step can reuse this closure unchanged
         cols = cache["columns"]
-        bcols_real = cols[:patch]
-        bcols_imag = cols[patch:]
-        bwr = weight_real.data.reshape(out_channels, -1)
-        bwi = weight_imag.data.reshape(out_channels, -1)
         # one transpose pass produces the stacked (2*OC, out_h*out_w*batch)
         # upstream gradient for both planes
         grad_matrix = grad.transpose(0, 2, 3, 4, 1).reshape(2 * out_channels, -1)
         grad_r = grad_matrix[:out_channels]
         grad_i = grad_matrix[out_channels:]
         dx_real = dx_imag = dw_real = dw_imag = None
-        if product == "block":
-            # dW2 = G @ cols^T, dcols = W2^T @ G: one product per direction
-            if needs_weight_grad:
-                dw_block = grad_matrix @ cols.T
-                dw_real = dw_block[:out_channels, :patch] + dw_block[out_channels:, patch:]
-                dw_imag = dw_block[out_channels:, :patch] - dw_block[:out_channels, patch:]
-            dcols = cache["w_block"].T @ grad_matrix if needs_input_grad else None
-        else:
-            grad_sum = grad_r + grad_i
-            if needs_weight_grad:
-                # dW = g conj(cols)^T (Karatsuba on the shared cached columns)
-                p1 = grad_r @ bcols_real.T
-                p2 = grad_i @ bcols_imag.T
-                dw_real = p1 + p2
-                dw_imag = grad_sum @ (bcols_real - bcols_imag).T - p1 + p2
-            dcols = None
-            if needs_input_grad:
-                # dcols = conj(W)^T g
-                q1 = bwr.T @ grad_r
-                q2 = bwi.T @ grad_i
-                dcols = np.empty((2 * patch, grad_r.shape[1]), dtype=q1.dtype)
-                np.add(q1, q2, out=dcols[:patch])
-                dcols[patch:] = (bwr - bwi).T @ grad_sum
-                dcols[patch:] -= q1
-                dcols[patch:] += q2
+        # dW2 = G @ cols^T, dcols = W2^T @ G: one product per direction
+        if needs_weight_grad:
+            dw_block = grad_matrix @ cols.T
+            dw_real = dw_block[:out_channels, :patch] + dw_block[out_channels:, patch:]
+            dw_imag = dw_block[out_channels:, :patch] - dw_block[:out_channels, patch:]
         if needs_input_grad:
+            dcols = cache["w_block"].T @ grad_matrix
             dx_stacked = col2im_fn(dcols, stacked_shape, kernel, stride, padding)
             dx_real = dx_stacked[:, :in_channels]
             dx_imag = dx_stacked[:, in_channels:]
@@ -315,8 +270,7 @@ def complex_conv2d(inputs: ComplexTensor,
     if has_bias:
         parents = parents + (bias_real, bias_imag)
     packed = Tensor._make(out, parents, backward, "complex_conv2d",
-                          {"cache": cache, "product": product,
-                           "kernel": kernel, "stride": stride,
+                          {"cache": cache, "kernel": kernel, "stride": stride,
                            "padding": padding, "patch": patch,
                            "in_channels": in_channels,
                            "out_channels": out_channels,

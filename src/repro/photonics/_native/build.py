@@ -1,11 +1,19 @@
-"""Build and load the native ``cchain`` kernel.
+"""Build and load the native kernel library.
 
-The kernel ships as plain C source (:file:`cchain.c`) and is compiled at most
-once per (source, compiler) pair: the shared library lands in a cache
-directory keyed by the SHA-256 of the source text plus the compiler's
-identification string, so upgrading the compiler or editing the source
-triggers exactly one rebuild and CI can cache the artifact by hashing the
-source file.
+The library ships as plain C source -- :file:`cchain.c` (the rotation-chain
+kernels of the ``cchain`` mesh backend) and :file:`trainops.c` (the fused
+batch-norm and col2im kernels of the compiled training step) -- and is
+compiled at most once per (sources, compiler, flags) triple: the shared
+library lands in a cache directory keyed by the SHA-256 of every source file
+plus the compiler's identification string and the flags, so upgrading the
+compiler or editing any source triggers exactly one rebuild and CI can cache
+the artifact by hashing the same sources.
+
+The flags include ``-ffp-contract=off``: the training kernels must round
+every multiply and add separately, exactly as the numpy ufuncs they replace,
+and an FMA contraction (the default with ``-march=native`` and on aarch64)
+would change result bits.  ``-O3`` vectorises the kernels' per-element
+loops, which changes no bit: without ``-ffast-math`` nothing is reassociated.
 
 Loading prefers :mod:`cffi` (releases the GIL around kernel calls, stable
 ABI-mode ``dlopen``) and falls back to :mod:`ctypes` when cffi is absent.
@@ -43,7 +51,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-SOURCE_PATH = Path(__file__).with_name("cchain.c")
+#: every C source compiled into the one shared library
+SOURCE_PATHS = tuple(Path(__file__).with_name(name)
+                     for name in ("cchain.c", "trainops.c"))
 
 #: C declarations of the kernel entry points (shared by cffi and ctypes).
 CDEF = """
@@ -61,9 +71,26 @@ int cchain_clements_chain_stack(double *work, long count, long n,
                                 const long *op_modes, const long *op_pivots,
                                 long n_ops, double *thetas, double *phis,
                                 double tol);
+int trainops_bn_forward(const double *x, long n, long c, long s, double eps,
+                        double *mean, double *var, double *sq,
+                        double *sub, double *norm, double *out,
+                        const double *weight, const double *bias);
+int trainops_bn_backward(const double *grad, long n, long c, long s,
+                         const double *sub, const double *sq,
+                         const double *norm, double *gx, int accumulate,
+                         double *gweight, double *gbias,
+                         const double *weight);
+int trainops_col2im_planes(const double *dcols, long batch, long channels,
+                           long height, long width,
+                           long kernel_h, long kernel_w,
+                           long stride_h, long stride_w,
+                           long pad_h, long pad_w,
+                           long out_h, long out_w, long split,
+                           double *top, int accumulate_top,
+                           double *bottom, int accumulate_bottom);
 """
 
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-fno-math-errno")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno", "-ffp-contract=off")
 
 
 def _env_truthy(name: str) -> bool:
@@ -111,10 +138,11 @@ def cache_dir() -> Path:
     return Path("~/.cache/repro/native").expanduser()
 
 
-def _cache_key(source: bytes, compiler_identity: str) -> str:
+def _cache_key(sources, compiler_identity: str) -> str:
     digest = hashlib.sha256()
-    digest.update(source)
-    digest.update(b"\x00")
+    for source in sources:
+        digest.update(source)
+        digest.update(b"\x00")
     digest.update(compiler_identity.encode("utf-8", "replace"))
     digest.update(b"\x00")
     digest.update(" ".join(_CFLAGS).encode())
@@ -122,13 +150,14 @@ def _cache_key(source: bytes, compiler_identity: str) -> str:
 
 
 def _compile(compiler: str, library_path: Path) -> None:
-    """Compile the source to ``library_path`` atomically (tmp + ``os.replace``)."""
+    """Compile the sources to ``library_path`` atomically (tmp + ``os.replace``)."""
     library_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(prefix=library_path.name + ".",
                                     suffix=".tmp", dir=library_path.parent)
     os.close(fd)
     try:
-        command = [compiler, *_CFLAGS, "-o", tmp_name, str(SOURCE_PATH), "-lm"]
+        command = [compiler, *_CFLAGS, "-o", tmp_name,
+                   *(str(path) for path in SOURCE_PATHS), "-lm"]
         proc = subprocess.run(command, capture_output=True, text=True,
                               timeout=300)
         if proc.returncode != 0:
@@ -142,7 +171,7 @@ def _compile(compiler: str, library_path: Path) -> None:
 
 
 class ChainKernel:
-    """Loaded native kernel with numpy-aware entry points.
+    """Loaded native library with numpy-aware entry points.
 
     All methods operate **in place** on the caller's buffers; the caller is
     responsible for passing C-contiguous arrays of the documented dtypes
@@ -158,10 +187,6 @@ class ChainKernel:
         self.library_path = library_path
         self.compiler = compiler
         self.key = key
-
-    @staticmethod
-    def _ptr(array: np.ndarray) -> int:
-        return array.ctypes.data
 
     def _check(self, array: np.ndarray, dtype, name: str) -> np.ndarray:
         if array.dtype != dtype or not array.flags.c_contiguous:
@@ -221,7 +246,33 @@ class ChainKernel:
             self._cast_d(thetas), self._cast_d(phis), float(tol))
         return thetas, phis
 
+    def bind(self, name: str, *args) -> "BoundCall":
+        """Prepare repeated calls of kernel ``name`` on fixed buffers.
+
+        ``args`` are the leading C arguments: float64 arrays (passed as
+        ``double *``, so they must be C-contiguous), ``None`` (``NULL``),
+        ints (``long``/``int``) or floats (``double``).  The returned
+        callable appends its own call-time arguments -- arrays or ``None``
+        for buffers that can be rebound between calls, such as parameter
+        data -- and raises :class:`MemoryError` when the kernel reports a
+        failed scratch allocation.
+        """
+        for arg in args:
+            if isinstance(arg, np.ndarray):
+                self._check(arg, np.float64, f"{name} argument")
+        return BoundCall(getattr(self._lib, name), name, args,
+                         tuple(self._pointer(arg) for arg in args),
+                         self._pointer)
+
+    def _pointer(self, arg):
+        """An argument in the binding's calling convention."""
+        if isinstance(arg, np.ndarray):
+            return self._cast_d(arg)
+        return self._null if arg is None else arg
+
     # the cast hooks are replaced per binding in the loader below
+    _null = None
+
     def _cast_d(self, array: np.ndarray):
         raise NotImplementedError
 
@@ -232,13 +283,39 @@ class ChainKernel:
         raise NotImplementedError
 
 
+class BoundCall:
+    """A native kernel call with its leading arguments converted once.
+
+    Holds a reference to every array whose pointer it passes, so those
+    buffers live at least as long as the call: a raw pointer alone would not
+    keep an array alive.
+    """
+
+    __slots__ = ("_fn", "name", "_held", "_args", "_pointer")
+
+    def __init__(self, fn, name: str, held, args, pointer):
+        self._fn = fn
+        self.name = name
+        self._held = held  # the Python objects behind the converted ``args``
+        self._args = args
+        self._pointer = pointer
+
+    def __call__(self, *late) -> None:
+        pointer = self._pointer
+        if self._fn(*self._args, *[pointer(arg) for arg in late]) != 0:
+            raise MemoryError(f"{self.name} scratch allocation failed")
+
+
 class _CffiKernel(ChainKernel):
     def __init__(self, ffi, lib, library_path, compiler, key):
         super().__init__(lib, "cffi", library_path, compiler, key)
         self._ffi = ffi
+        self._null = ffi.NULL
 
     def _cast_d(self, array):
-        return self._ffi.cast("double *", array.ctypes.data)
+        # a view of the array's buffer (it keeps the array alive); several
+        # times cheaper than casting ``array.ctypes.data``
+        return self._ffi.from_buffer("double[]", array)
 
     def _cast_l(self, array):
         return self._ffi.cast("long *", array.ctypes.data)
@@ -269,7 +346,8 @@ def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
 
     lib = ctypes.CDLL(str(library_path))
     for name in ("cchain_propagate", "cchain_clements_chain",
-                 "cchain_clements_chain_stack"):
+                 "cchain_clements_chain_stack", "trainops_bn_forward",
+                 "trainops_bn_backward", "trainops_col2im_planes"):
         fn = getattr(lib, name)
         fn.restype = ctypes.c_int
     ptr = ctypes.c_void_p
@@ -281,14 +359,21 @@ def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
     lib.cchain_clements_chain.argtypes = chain_args
     lib.cchain_clements_chain_stack.argtypes = (
         chain_args[:1] + [ctypes.c_long] + chain_args[1:])
+    long, flag = ctypes.c_long, ctypes.c_int
+    lib.trainops_bn_forward.argtypes = (
+        [ptr, long, long, long, ctypes.c_double] + [ptr] * 8)
+    lib.trainops_bn_backward.argtypes = (
+        [ptr, long, long, long, ptr, ptr, ptr, ptr, flag, ptr, ptr, ptr])
+    lib.trainops_col2im_planes.argtypes = (
+        [ptr] + [long] * 13 + [ptr, flag, ptr, flag])
     return _CtypesKernel(lib, "ctypes", library_path, compiler, key)
 
 
 def build_and_load() -> ChainKernel:
     """Compile (if not cached) and load the kernel.  Raises on any failure."""
     compiler = _find_compiler()
-    source = SOURCE_PATH.read_bytes()
-    key = _cache_key(source, _compiler_identity(compiler))
+    sources = [path.read_bytes() for path in SOURCE_PATHS]
+    key = _cache_key(sources, _compiler_identity(compiler))
     library_path = cache_dir() / f"cchain-{key}" / "libcchain.so"
     if not library_path.exists():
         _compile(compiler, library_path)
@@ -352,7 +437,7 @@ def build_info() -> dict:
     info = {
         "available": loaded is not None,
         "forced_reference": force_reference_enabled(),
-        "source": str(SOURCE_PATH),
+        "sources": [str(path) for path in SOURCE_PATHS],
         "cache_dir": str(cache_dir()),
         "load_error": _LOAD_ERROR,
     }

@@ -182,6 +182,24 @@ class TestDegradation:
         assert (kernel is not None) == (_native.load_error() is None)
 
 
+class TestBuild:
+    def test_cache_key_hashes_every_compiled_source(self):
+        # every C file beside the build module is compiled into the library,
+        # and an edit to any of them must miss the cache (CI hashes the same
+        # files for its cache key)
+        from repro.photonics._native import build
+
+        here = build.SOURCE_PATHS[0].parent
+        assert set(build.SOURCE_PATHS) == set(here.glob("*.c"))
+        sources = [path.read_bytes() for path in build.SOURCE_PATHS]
+        key = build._cache_key(sources, "cc 1.0")
+        for index in range(len(sources)):
+            edited = list(sources)
+            edited[index] += b"\n"
+            assert build._cache_key(edited, "cc 1.0") != key
+        assert "-ffp-contract=off" in build._CFLAGS
+
+
 class TestCompileEndToEnd:
     @requires_kernel
     def test_cchain_program_matches_column_program(self):

@@ -2,9 +2,9 @@
 
 Three invariants pin the fast path to its executable references:
 
-* the fused complex kernels (`complex_linear` / `complex_conv2d`, both
-  product strategies) match the 4-real-op Eq. (2) formulation -- values and
-  *gradients* -- to 1e-8 across stride/padding/bias combinations;
+* the fused complex kernels (`complex_linear` / `complex_conv2d`) match
+  the 4-real-op Eq. (2) formulation -- values and *gradients* -- to 1e-8
+  across stride/padding/bias combinations;
 * the sliding-window `im2col` and the bincount/reshape `col2im` agree with
   the seed index-table/`np.add.at` implementations exactly;
 * the in-place optimizer steps produce bit-identical trajectories to the
@@ -54,9 +54,8 @@ def _grads(layer, xr, xi, forward):
 
 
 class TestFusedComplexConv2d:
-    @pytest.mark.parametrize("product", ["block", "karatsuba"])
     @pytest.mark.parametrize("stride,padding,bias", CONV_CASES)
-    def test_gradient_parity_with_reference(self, rng, product, stride, padding, bias):
+    def test_gradient_parity_with_reference(self, rng, stride, padding, bias):
         layer = ComplexConv2d(2, 3, 3, stride=stride, padding=padding, bias=bias,
                               rng=np.random.default_rng(7))
         xr = rng.normal(size=(2, 2, 6, 7))
@@ -64,7 +63,7 @@ class TestFusedComplexConv2d:
 
         fused = lambda x: complex_conv2d(  # noqa: E731
             x, layer.weight_real, layer.weight_imag, layer.bias_real, layer.bias_imag,
-            stride=stride, padding=padding, product=product)
+            stride=stride, padding=padding)
         out = fused(ComplexTensor(Tensor(xr), Tensor(xi)))
         reference = layer.forward_reference(ComplexTensor(Tensor(xr), Tensor(xi)))
         assert np.allclose(out.to_complex_array(), reference.to_complex_array(), atol=1e-10)
@@ -96,12 +95,6 @@ class TestFusedComplexConv2d:
         x = ComplexTensor(Tensor(rng.normal(size=(1, 2, 5, 5))))
         with pytest.raises(ValueError):
             layer(x)
-
-    def test_unknown_product_rejected(self, rng):
-        layer = ComplexConv2d(1, 1, 3, rng=np.random.default_rng(1))
-        x = ComplexTensor(Tensor(rng.normal(size=(1, 1, 5, 5))))
-        with pytest.raises(ValueError):
-            complex_conv2d(x, layer.weight_real, layer.weight_imag, product="strassen")
 
 
 class TestFusedComplexLinear:
