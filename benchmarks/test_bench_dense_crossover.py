@@ -45,10 +45,3 @@ def test_dense_crossover(benchmark, results_dir):
         assert set(row["backend_seconds"]) == {"dense", "column", "cchain"}
         assert (row["backend_seconds"]["cchain"] is not None) \
             == (_native.kernel() is not None)
-
-    # applying the measured limit must round-trip through the module global
-    previous = engine.set_dense_dimension_limit(limit)
-    try:
-        assert engine.DENSE_DIMENSION_LIMIT == limit
-    finally:
-        engine.set_dense_dimension_limit(previous)

@@ -1,7 +1,6 @@
 """``repro.compile()``: the photonic compiler entry point.
 
-Compiling replaces the historical ``deploy_model`` free functions with an
-explicit compiler shape::
+The one way to deploy a trained model onto photonic hardware::
 
     import repro
     from repro.core.compile import CompileOptions, HardwareTarget
@@ -17,10 +16,9 @@ explicit compiler shape::
   mesh decomposition scheme and the non-idealities to bake in at compile
   time (phase-noise model, phase quantization, Monte-Carlo trial count).
 * :class:`CompileOptions` is the compiler policy: dense/column backend
-  selection, the per-mesh dense-dimension limit (replacing the old
-  thread-unsafe ``engine.DENSE_DIMENSION_LIMIT`` global mutation) and
-  whether same-size unitaries across the whole model are decomposed as one
-  batched Reck/Clements stack.
+  selection, the per-mesh dense-dimension limit and whether same-size
+  unitaries across the whole model are decomposed as one batched
+  Reck/Clements stack.
 * :class:`CompiledProgram` wraps the lowered
   :class:`~repro.core.graph_ir.GraphProgram` -- a dataflow graph with
   photonic stage nodes and electronic ops, so residual architectures
@@ -29,7 +27,7 @@ explicit compiler shape::
   full optical pipeline.
 
 Both dataclasses are frozen: two concurrent compiles with different policies
-never observe each other, unlike the module-global knobs they replace.
+never observe each other.
 """
 
 from __future__ import annotations
@@ -100,9 +98,8 @@ class CompileOptions:
     dense_dimension_limit:
         Per-mesh dense/column crossover used by the ``"auto"`` backend.
         ``None`` falls back to the process default
-        (``engine.DENSE_DIMENSION_LIMIT``); setting it here is the supported
-        replacement for the deprecated ``set_dense_dimension_limit`` global
-        mutation and is safe under concurrent compiles.
+        (``engine.DENSE_DIMENSION_LIMIT``); setting it here is safe under
+        concurrent compiles.
     batch_unitaries:
         Decompose all same-size SVD factors of the model as one vectorized
         Reck/Clements stack (identical results to the per-matrix path, pinned
@@ -160,32 +157,19 @@ class CompiledProgram:
     def mzi_count(self) -> int:
         return self.graph.mzi_count
 
-    @property
-    def stages(self) -> List[Any]:
-        """The stage chain of a purely sequential program.
-
-        Raises ``TypeError`` for graph-shaped programs (skip additions /
-        fan-out), which have no sequential form.
-        """
-        try:
-            return self.graph.chain_stages()
-        except ValueError as error:
-            raise TypeError(str(error)) from error
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def plan(self, options: Optional[Any] = None):
+    def plan(self):
         """The program's :class:`~repro.core.runtime.ExecutionPlan`.
 
         Compiled once and cached on the graph; every ``forward`` /
         ``predict_logits`` call executes it.  Call this eagerly to pay the
         plan compilation (eager dense matrices, buffer-lifetime analysis)
         before the first request -- the serving layer does so when a program
-        enters the cache.  Pass :class:`~repro.core.runtime.PlanOptions` to
-        compile a fresh plan with a different fusion policy.
+        enters the cache.
         """
-        return self.graph.plan(options)
+        return self.graph.plan()
 
     def forward_signals(self, complex_inputs: np.ndarray) -> np.ndarray:
         """Propagate complex input amplitudes through the program graph.

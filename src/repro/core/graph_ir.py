@@ -27,10 +27,7 @@ with precomputed buffer lifetimes, eager dense transfer matrices and fused
 electronic affine ops -- and :meth:`GraphProgram.forward` is a thin wrapper
 over executing that (cached) plan.  The original interpreted node-walk is
 kept as :meth:`GraphProgram.forward_reference`, the executable specification
-the test-suite pins every plan against to 1e-12.  Chain-shaped graphs
-(purely sequential models) can be flattened back to a stage list with
-:meth:`GraphProgram.chain_stages`, which is what keeps the deprecated
-``DeployedModel`` shims working on top of the new compiler.
+the test-suite pins every plan against to 1e-12.
 """
 
 from __future__ import annotations
@@ -193,43 +190,19 @@ class GraphProgram:
     def mzi_count(self) -> int:
         return sum(node.op.mzi_count for node in self.nodes)
 
-    @property
-    def is_chain(self) -> bool:
-        """True when the graph is a straight line from input to output."""
-        previous = INPUT
-        for node in self.nodes:
-            if node.inputs != (previous,):
-                return False
-            previous = node.name
-        return bool(self.nodes) and self.output == self.nodes[-1].name
-
-    def chain_stages(self) -> List[Any]:
-        """Flatten a chain-shaped graph back to an ordered stage/op list.
-
-        Raises ``ValueError`` for graphs with fan-out or multi-input nodes
-        (residual programs have no stage-chain form -- execute the graph).
-        """
-        if not self.is_chain:
-            raise ValueError("program is graph-shaped (fan-out / skip-add nodes); "
-                             "it has no sequential stage-chain form")
-        return [node.op for node in self.nodes]
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def plan(self, options: Optional[Any] = None):
+    def plan(self):
         """The graph compiled to an :class:`~repro.core.runtime.ExecutionPlan`.
 
-        The default plan (``options=None``) is compiled once and cached on
-        the program, and recompiled when a baked mesh's phases were mutated
-        in place through ``update_phases`` (plans fold phases into dense
-        matrices, so they track each mesh's phase version); explicit
-        :class:`~repro.core.runtime.PlanOptions` always compile a fresh plan.
+        Compiled once and cached on the program, and recompiled when a baked
+        mesh's phases were mutated in place through ``update_phases`` (plans
+        fold phases into dense matrices, so they track each mesh's phase
+        version).
         """
         from repro.core.runtime import compile_plan
 
-        if options is not None:
-            return compile_plan(self, options)
         if self._plan is None or self._plan.is_stale():
             self._plan = compile_plan(self)
         return self._plan

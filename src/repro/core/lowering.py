@@ -38,15 +38,13 @@ batches (or ``(batch, channels, height, width)`` image batches) and composes
 with the leading trials axes that noise-ensemble meshes introduce, so a whole
 Monte-Carlo sweep of a deployed model runs as a single vectorized pass.
 
-The historical chain API (:func:`lower_model` / :func:`lower_sequential` /
-:class:`LoweredProgram`) remains as a deprecated veneer over the graph
-compiler for purely sequential models; graph-shaped models (ComplexResNet)
-must go through :func:`repro.compile`.
+:func:`lower_to_graph` is the lowering pass behind :func:`repro.compile`,
+the one entry point for sequential and graph-shaped (ComplexResNet) models
+alike.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
@@ -285,10 +283,6 @@ class FlattenStage:
         return self
 
 
-PhotonicStage = Union[LinearStage, Conv2dStage, AvgPool2dStage,
-                      GlobalAvgPool2dStage, FlattenStage]
-
-
 # --------------------------------------------------------------------------- #
 # lowering-rule registries
 # --------------------------------------------------------------------------- #
@@ -451,16 +445,13 @@ class LoweringContext:
     # ------------------------------------------------------------------ #
     # results
     # ------------------------------------------------------------------ #
-    def _folded(self) -> Tuple[List[GraphNode], str]:
-        """Deploy pending weights and run the activation-folding peephole."""
-        self.finalize()
-        return fold_activation_nodes(self.builder.nodes(), self.cursor)
-
     def program(self) -> GraphProgram:
+        """Deploy pending weights, fold activations and build the graph."""
         if self.readout is None or self.num_classes is None:
             raise RuntimeError("model rule finished without lowering a decoder "
                                "head (ctx.lower_head was never called)")
-        nodes, output = self._folded()
+        self.finalize()
+        nodes, output = fold_activation_nodes(self.builder.nodes(), self.cursor)
         return GraphProgram(nodes=nodes, output=output, readout=self.readout,
                             num_classes=self.num_classes,
                             input_kind=self.input_kind)
@@ -569,8 +560,8 @@ def _lower_flatten_rule(module: ComplexFlatten, name: str, ctx: LoweringContext)
 
 
 @register_lowering(ComplexSequential)
-def _lower_sequential_rule(module: ComplexSequential, name: str,
-                           ctx: LoweringContext) -> None:
+def _lower_complex_sequential_rule(module: ComplexSequential, name: str,
+                                   ctx: LoweringContext) -> None:
     ctx.lower_chain(module, name)
 
 
@@ -582,45 +573,6 @@ def _lower_batchnorm_rule(module, name: str, ctx: LoweringContext) -> None:
         real_scale=real_scale, real_shift=real_shift,
         imag_scale=imag_scale, imag_shift=imag_shift,
         spatial=isinstance(module, ComplexBatchNorm2d)))
-
-
-# --------------------------------------------------------------------------- #
-# eager single-layer helpers (kept for direct use and tests)
-# --------------------------------------------------------------------------- #
-def lower_complex_linear(layer: ComplexLinear, name: str,
-                         method: str = "clements") -> LinearStage:
-    """Lower one ``ComplexLinear`` onto an SVD pair of MZI meshes."""
-    photonic = PhotonicLinearLayer.from_weight(layer.complex_weight(),
-                                               bias=_complex_bias(layer),
-                                               method=method, name=name)
-    return LinearStage(layer=photonic)
-
-
-def lower_complex_conv2d(layer: ComplexConv2d, name: str,
-                         method: str = "clements") -> Conv2dStage:
-    """Lower one ``ComplexConv2d`` to its im2col matrix on MZI meshes."""
-    photonic = PhotonicLinearLayer.from_weight(layer.weight_matrix(),
-                                               bias=_complex_bias(layer),
-                                               method=method, name=name)
-    return Conv2dStage(layer=photonic,
-                       in_channels=layer.in_channels, out_channels=layer.out_channels,
-                       kernel_size=_as_pair(layer.kernel_size),
-                       stride=_as_pair(layer.stride), padding=_as_pair(layer.padding))
-
-
-def lower_sequential(modules, method: str = "clements",
-                     prefix: str = "trunk") -> List[PhotonicStage]:
-    """Lower a chain of complex modules into photonic stages.
-
-    Dispatches through the ``@register_lowering`` rule registry.  ``CReLU``
-    modules fold into the preceding linear/conv stage as its electro-optic
-    activation (:func:`fold_activation_nodes`); pooling and flatten become
-    structural stages; unregistered module types raise ``TypeError``.
-    """
-    ctx = LoweringContext(method=method)
-    ctx.lower_chain(modules, prefix)
-    nodes, _output = ctx._folded()
-    return [node.op for node in nodes]
 
 
 # --------------------------------------------------------------------------- #
@@ -706,42 +658,9 @@ def _lower_photodiode_head(head: PhotodiodeHead, ctx: LoweringContext):
     return power_readout
 
 
-def lower_decoder_head(head: DecoderHead, method: str = "clements"
-                       ) -> Tuple[List[PhotonicStage], Callable[[np.ndarray], np.ndarray]]:
-    """Lower a decoder head: extra photonic stages plus the detector readout.
-
-    The per-class electronic calibration (scale + offset of the photocurrents)
-    trained with the head is replicated digitally inside the readout closure --
-    it lives in the electrical domain and costs no optical area.
-    """
-    ctx = LoweringContext(method=method)
-    ctx.lower_head(head)
-    nodes, _output = ctx._folded()
-    return [node.op for node in nodes], ctx.readout
-
-
 # --------------------------------------------------------------------------- #
 # model lowering
 # --------------------------------------------------------------------------- #
-@dataclass
-class LoweredProgram:
-    """A model lowered to photonic stages plus its electronic readout.
-
-    ``input_kind`` records what the first stage consumes: ``"flat"`` feature
-    vectors (FCNN trunks) or ``"image"`` maps ``(batch, channels, h, w)``
-    (convolutional trunks).
-    """
-
-    stages: List[PhotonicStage]
-    readout: Callable[[np.ndarray], np.ndarray]
-    num_classes: int
-    input_kind: str = "flat"
-
-    @property
-    def mzi_count(self) -> int:
-        return sum(stage.mzi_count for stage in self.stages)
-
-
 def lower_to_graph(model, method: str = "clements", backend: str = "auto",
                    dense_dimension_limit: Optional[int] = None,
                    batch_unitaries: bool = True,
@@ -769,26 +688,3 @@ def lower_to_graph(model, method: str = "clements", backend: str = "auto",
                           deploy_fn=deploy_fn)
     rule(model, ctx)
     return ctx.program()
-
-
-def lower_model(model, method: str = "clements") -> LoweredProgram:
-    """Deprecated: lower a sequential model into a photonic stage *chain*.
-
-    Thin shim over the graph compiler: builds the program graph and flattens
-    it back to the historical stage list.  Only purely sequential models have
-    a chain form -- graph-shaped models (ComplexResNet) raise ``TypeError``
-    here and must go through :func:`repro.compile`.
-    """
-    warnings.warn("lower_model() is deprecated; use repro.compile(model) which "
-                  "also handles graph-shaped (residual) models",
-                  DeprecationWarning, stacklevel=2)
-    graph = lower_to_graph(model, method=method)
-    try:
-        stages = graph.chain_stages()
-    except ValueError as error:
-        raise TypeError(
-            f"model of type {type(model).__name__} lowers to a graph-shaped "
-            "program (skip additions / fan-out); it has no stage-chain form. "
-            "Use repro.compile(model) instead") from error
-    return LoweredProgram(stages=stages, readout=graph.readout,
-                          num_classes=graph.num_classes, input_kind=graph.input_kind)

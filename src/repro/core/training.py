@@ -21,7 +21,6 @@ optionally against a peer network's logits: this is how mutual learning
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -128,14 +127,6 @@ class _PendingStep:
         return trace_tape(self.trace) if self.trace is not None else contextlib.nullcontext()
 
 
-def _plan_enabled_from_env(default: bool) -> bool:
-    """Resolve the ``REPRO_TRAIN_PLAN`` override (``0``/``1``)."""
-    value = os.environ.get("REPRO_TRAIN_PLAN")
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "off", "no", "")
-
-
 class Trainer:
     """Standard cross-entropy trainer.
 
@@ -149,8 +140,7 @@ class Trainer:
         Data-assignment scheme for complex models; ``None`` for real models.
     compile_train_step:
         Override ``config.compile_train_step``.  ``None`` keeps the config
-        value; the ``REPRO_TRAIN_PLAN`` environment variable (``0`` or ``1``)
-        beats both.
+        value.
     """
 
     #: distinct batch shapes the trainer keeps compiled plans for; typically a
@@ -165,9 +155,8 @@ class Trainer:
         self.scheme = scheme
         self.optimizer = self._build_optimizer()
         self.scheduler = self._build_scheduler()
-        if compile_train_step is None:
-            compile_train_step = config.compile_train_step
-        self._plan_enabled = _plan_enabled_from_env(compile_train_step)
+        self._plan_enabled = (config.compile_train_step if compile_train_step is None
+                              else compile_train_step)
         self._plans: Dict[Tuple, TrainStepPlan] = {}
         self._plan_fallback_reason: Optional[str] = None
         self._pending: Optional[_PendingStep] = None

@@ -408,32 +408,6 @@ def dense_transfer(program: MeshProgram, thetas: np.ndarray, phis: np.ndarray,
     return np.swapaxes(columns, -1, -2)
 
 
-def _set_default_dense_limit(limit: int) -> int:
-    """Replace :data:`DENSE_DIMENSION_LIMIT`; returns the previous value."""
-    global DENSE_DIMENSION_LIMIT
-    previous = DENSE_DIMENSION_LIMIT
-    DENSE_DIMENSION_LIMIT = int(limit)
-    return previous
-
-
-def set_dense_dimension_limit(limit: int) -> int:
-    """Deprecated: mutate the module-global dense/column crossover.
-
-    The global is shared by every mesh in the process, so concurrent compiles
-    with different policies race on it.  Prefer
-    ``CompileOptions(dense_dimension_limit=...)`` (threaded per-mesh by
-    ``repro.compile``); this shim only seeds the default that meshes without
-    an explicit per-mesh limit fall back to.  Returns the previous value.
-    """
-    import warnings
-
-    warnings.warn(
-        "set_dense_dimension_limit() mutates process-global state and is "
-        "deprecated; pass CompileOptions(dense_dimension_limit=...) to "
-        "repro.compile() instead", DeprecationWarning, stacklevel=2)
-    return _set_default_dense_limit(limit)
-
-
 def measure_dense_crossover(dimensions=(16, 32, 48, 64, 96, 128, 192),
                             batch: int = 32, repeats: int = 5,
                             method: str = "clements", seed: int = 0,
@@ -524,6 +498,7 @@ def calibrate_dense_limit(dimensions=(16, 32, 48, 64, 96, 128, 192),
     module global is updated in place.  Returns ``(limit, rows)`` so callers
     can record the measurements.
     """
+    global DENSE_DIMENSION_LIMIT
     rows = measure_dense_crossover(dimensions=dimensions, batch=batch,
                                    repeats=repeats, method=method, seed=seed,
                                    backends=backends)
@@ -532,7 +507,7 @@ def calibrate_dense_limit(dimensions=(16, 32, 48, 64, 96, 128, 192),
                   and row["dense_speedup_vs_best"] >= 1.0]
     limit = max(dense_wins) if dense_wins else 0
     if apply:
-        _set_default_dense_limit(limit)
+        DENSE_DIMENSION_LIMIT = int(limit)
     return limit, rows
 
 

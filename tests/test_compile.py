@@ -2,8 +2,7 @@
 
 Covers the compiler entry point and its dataclasses, the graph IR produced
 for residual models (fan-out, electronic skip adds, folded batch norms), the
-execution-policy threading that replaced the module globals, and the
-deprecated ``deploy_model`` / ``lower_model`` shims.
+execution-policy threading and the lowering-rule registry.
 """
 
 import numpy as np
@@ -70,9 +69,13 @@ class TestCompileEntryPoint:
         program = repro.compile(tiny_lenet(rng))
         assert isinstance(program, CompiledProgram)
         assert isinstance(program.graph, GraphProgram)
-        assert program.graph.is_chain
+        previous = INPUT
+        for node in program.graph.nodes:            # each node feeds the next
+            assert node.inputs == (previous,)
+            previous = node.name
+        assert program.graph.output == previous
         assert program.input_kind == "image"
-        kinds = [type(stage) for stage in program.stages]
+        kinds = [type(node.op) for node in program.graph.nodes]
         assert kinds.count(Conv2dStage) == 2
         assert kinds.count(LinearStage) == 3
 
@@ -123,7 +126,6 @@ class TestResNetGraphCompile:
     def test_graph_has_skip_adds_and_fanout(self, rng):
         program = repro.compile(tiny_resnet(rng))
         graph = program.graph
-        assert not graph.is_chain
         adds = [node for node in graph.nodes if isinstance(node.op, ElectronicAdd)]
         assert len(adds) == 3                      # one skip add per basic block
         assert all(len(node.inputs) == 2 for node in adds)
@@ -135,8 +137,6 @@ class TestResNetGraphCompile:
             for name in node.inputs:
                 consumers[name] = consumers.get(name, 0) + 1
         assert max(consumers.values()) >= 2
-        with pytest.raises(TypeError):
-            program.stages                          # no chain form
 
     def test_mzi_count_matches_area_report(self, rng):
         model = tiny_resnet(rng)
@@ -181,7 +181,9 @@ class TestExecutionPolicy:
         program = repro.compile(tiny_lenet(rng),
                                 options=CompileOptions(backend="column",
                                                        dense_dimension_limit=5))
-        meshes = [mesh for stage in program.stages if isinstance(stage, (LinearStage, Conv2dStage))
+        stages = [node.op for node in program.graph.nodes
+                  if isinstance(node.op, (LinearStage, Conv2dStage))]
+        meshes = [mesh for stage in stages
                   for mesh in (stage.layer.photonic_matrix.left_mesh,
                                stage.layer.photonic_matrix.right_mesh)]
         assert meshes
@@ -209,9 +211,9 @@ class TestExecutionPolicy:
         dense_program = repro.compile(model, options=CompileOptions(dense_dimension_limit=999))
         column_program = repro.compile(model, options=CompileOptions(dense_dimension_limit=0))
         assert engine.DENSE_DIMENSION_LIMIT == before
-        sample = dense_program.stages[0].layer.photonic_matrix.left_mesh
+        sample = dense_program.graph.nodes[0].op.layer.photonic_matrix.left_mesh
         assert sample.dense_dimension_limit == 999
-        sample = column_program.stages[0].layer.photonic_matrix.left_mesh
+        sample = column_program.graph.nodes[0].op.layer.photonic_matrix.left_mesh
         assert sample.dense_dimension_limit == 0
 
     def test_target_noise_is_baked_in(self, rng):
@@ -273,54 +275,6 @@ class TestQuantizationEndToEnd:
         clean = repro.compile(model)
         coarse = repro.compile(model, target=HardwareTarget(quantization_bits=5))
         assert coarse.mzi_count == clean.mzi_count
-
-
-class TestDeprecatedShims:
-    def test_deploy_model_warns_and_matches_compile(self, rng):
-        from repro.core.deploy import DeployedModel, deploy_model
-
-        scheme = get_scheme("CL")
-        model = tiny_lenet(rng)
-        with pytest.warns(DeprecationWarning):
-            deployed = deploy_model(model)
-        assert isinstance(deployed, DeployedModel)
-        program = repro.compile(model)
-        images = rng.normal(size=(4, 3, 12, 12))
-        assert np.allclose(deployed.predict_logits(images, scheme),
-                           program.predict_logits(images, scheme), atol=1e-12)
-        assert deployed.mzi_count == program.mzi_count
-
-    def test_deploy_linear_model_warns(self, rng):
-        from repro.core.deploy import deploy_linear_model
-
-        with pytest.warns(DeprecationWarning):
-            deploy_linear_model(ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng))
-
-    def test_lower_model_warns_and_rejects_graph_programs(self, rng):
-        from repro.core.lowering import lower_model
-
-        with pytest.warns(DeprecationWarning):
-            lower_model(tiny_lenet(rng))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="repro.compile"):
-                lower_model(tiny_resnet(rng))
-
-    def test_deploy_model_rejects_graph_programs(self, rng):
-        from repro.core.deploy import deploy_model
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="repro.compile"):
-                deploy_model(tiny_resnet(rng))
-
-    def test_set_dense_dimension_limit_warns_but_still_seeds_default(self):
-        from repro.photonics import engine
-
-        with pytest.warns(DeprecationWarning):
-            previous = engine.set_dense_dimension_limit(33)
-        try:
-            assert engine.DENSE_DIMENSION_LIMIT == 33
-        finally:
-            engine._set_default_dense_limit(previous)
 
 
 class TestLoweringRegistry:

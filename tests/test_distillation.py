@@ -133,15 +133,14 @@ class _DropoutHead(Module):
         return self.dropout(self.body(inputs))
 
 
-def fit_mutual(pair, dataset, monkeypatch, planned, alpha=1.0, batch_size=8,
+def fit_mutual(pair, dataset, planned, alpha=1.0, batch_size=8,
                epochs=2, scheme="CL"):
     """One seeded mutual-learning run; returns (trainer, result)."""
-    monkeypatch.setenv("REPRO_TRAIN_PLAN", "1" if planned else "0")
     seed_all(0)
     student, teacher = pair()
     config = TrainingConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.05,
                             distillation_alpha=alpha, distillation_temperature=2.0,
-                            seed=0)
+                            seed=0, compile_train_step=planned)
     trainer = MutualLearningTrainer(student, teacher, config,
                                     student_scheme=get_scheme(scheme))
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=True,
@@ -177,15 +176,15 @@ class TestPlannedMutualLearning:
     ])
     @pytest.mark.parametrize("alpha", [1.0, 0.0])
     def test_planned_matches_eager_bit_for_bit(self, pair, data, scheme, alpha,
-                                               tiny_flat_dataset, monkeypatch):
+                                               tiny_flat_dataset):
         build = fcnn_pair if pair == "fcnn" else build_resnet_pair
         # 60 flat samples at batch 16 and 20 images at batch 8: both end
         # with a smaller tail batch, which compiles plans of its own
         dataset = tiny_flat_dataset if data == "flat" else resnet_dataset()
         batch_size = 16 if data == "flat" else 8
-        eager, eager_result = fit_mutual(build, dataset, monkeypatch, False, alpha,
+        eager, eager_result = fit_mutual(build, dataset, False, alpha,
                                          batch_size, scheme=scheme)
-        planned, planned_result = fit_mutual(build, dataset, monkeypatch, True, alpha,
+        planned, planned_result = fit_mutual(build, dataset, True, alpha,
                                              batch_size, scheme=scheme)
         for role, stats in planned.plan_stats.items():
             assert stats["fallback_reason"] is None, role
@@ -198,12 +197,11 @@ class TestPlannedMutualLearning:
         assert_states_equal(eager.student, planned.student)
         assert_states_equal(eager.teacher, planned.teacher)
 
-    def test_volatile_model_falls_back_cleanly(self, tiny_flat_dataset, monkeypatch):
-        eager, eager_result = fit_mutual(dropout_pair, tiny_flat_dataset, monkeypatch,
+    def test_volatile_model_falls_back_cleanly(self, tiny_flat_dataset):
+        eager, eager_result = fit_mutual(dropout_pair, tiny_flat_dataset,
                                          False, batch_size=16, scheme="SI")
         planned, planned_result = fit_mutual(dropout_pair, tiny_flat_dataset,
-                                             monkeypatch, True, batch_size=16,
-                                             scheme="SI")
+                                             True, batch_size=16, scheme="SI")
         stats = planned.plan_stats
         assert stats["student"]["compiled"] == 0
         assert "dropout" in stats["student"]["fallback_reason"]
@@ -280,12 +278,12 @@ def _batch_norms(model):
 class TestSingleTeacherForward:
     """The teacher runs forward once per mutual step."""
 
-    def _trainer(self, monkeypatch, planned):
-        monkeypatch.setenv("REPRO_TRAIN_PLAN", "1" if planned else "0")
+    def _trainer(self, planned):
         seed_all(0)
         student, teacher = build_resnet_pair()
         config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05,
-                                distillation_temperature=2.0, seed=0)
+                                distillation_temperature=2.0, seed=0,
+                                compile_train_step=planned)
         return MutualLearningTrainer(student, teacher, config,
                                      student_scheme=get_scheme("CL"))
 
@@ -295,8 +293,8 @@ class TestSingleTeacherForward:
                 for _ in range(count)]
 
     @pytest.mark.parametrize("planned", [True, False])
-    def test_teacher_bn_statistics_move_once_per_step(self, monkeypatch, planned):
-        trainer = self._trainer(monkeypatch, planned)
+    def test_teacher_bn_statistics_move_once_per_step(self, planned):
+        trainer = self._trainer(planned)
         teacher_scheme = trainer.teacher_scheme
         # step 1 traces (or runs eagerly), step 2 replays the compiled plan
         for images, labels in self._batches(2):
@@ -315,10 +313,9 @@ class TestSingleTeacherForward:
                            in zip(norms, _batch_norms(twice)))
 
     @pytest.mark.parametrize("planned", [True, False])
-    def test_student_trajectory_matches_double_forward_reference(self, monkeypatch,
-                                                                 planned):
-        reference = self._trainer(monkeypatch, False)
-        trainer = self._trainer(monkeypatch, planned)
+    def test_student_trajectory_matches_double_forward_reference(self, planned):
+        reference = self._trainer(False)
+        trainer = self._trainer(planned)
         for images, labels in self._batches(5):
             expected = _double_forward_step(reference, images, labels)
             actual = trainer._mutual_step(images, labels)

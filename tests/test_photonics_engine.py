@@ -374,12 +374,12 @@ class TestDeployedEnsembles:
     def test_deployed_noise_ensemble_matches_sequential_draws(self, rng):
         """A trials-batched deployed model equals T seeded sequential copies."""
         from repro.assignment import get_scheme
-        from repro.core.deploy import deploy_linear_model
+        from repro.core.compile import compile as compile_model
         from repro.models import ComplexFCNN
 
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = compile_model(model)
         images = rng.normal(size=(3, 1, 4, 4))
         trials = 4
         noisy = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.05,
@@ -393,12 +393,12 @@ class TestDeployedEnsembles:
 
     def test_zero_sigma_ensemble_matches_clean_model(self, rng):
         from repro.assignment import get_scheme
-        from repro.core.deploy import deploy_linear_model
+        from repro.core.compile import compile as compile_model
         from repro.models import ComplexFCNN
 
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = compile_model(model)
         images = rng.normal(size=(3, 1, 4, 4))
         clean = deployed.predict_logits(images, scheme)
         ensemble = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.0),
@@ -407,11 +407,11 @@ class TestDeployedEnsembles:
             assert np.allclose(ensemble[t], clean)
 
     def test_trials_without_noise_model_rejected(self, rng):
-        from repro.core.deploy import deploy_linear_model
+        from repro.core.compile import compile as compile_model
         from repro.models import ComplexFCNN
 
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = compile_model(model)
         with pytest.raises(ValueError):
             deployed.with_noise(quantization_bits=6, trials=3)
 
@@ -469,14 +469,6 @@ class TestSigmaAxisEnsembles:
 
 
 class TestAdaptiveDenseLimit:
-    def test_set_dense_dimension_limit_round_trips(self):
-        previous = engine.set_dense_dimension_limit(12)
-        try:
-            assert engine.DENSE_DIMENSION_LIMIT == 12
-        finally:
-            engine.set_dense_dimension_limit(previous)
-        assert engine.DENSE_DIMENSION_LIMIT == previous
-
     def test_measure_dense_crossover_rows(self):
         rows = engine.measure_dense_crossover(dimensions=(4, 8), batch=4, repeats=1)
         assert [row["dimension"] for row in rows] == [4, 8]
@@ -488,3 +480,13 @@ class TestAdaptiveDenseLimit:
         limit, rows = engine.calibrate_dense_limit(dimensions=(4, 8), batch=4, repeats=1)
         # 0 disables the dense path on machines where it never wins
         assert limit in {row["dimension"] for row in rows} | {0}
+
+    def test_calibrate_applies_the_default_only_on_request(self, monkeypatch):
+        # monkeypatch restores the module default after the test
+        monkeypatch.setattr(engine, "DENSE_DIMENSION_LIMIT", 12)
+        engine.calibrate_dense_limit(dimensions=(4, 8), batch=4, repeats=1)
+        assert engine.DENSE_DIMENSION_LIMIT == 12
+        limit, _ = engine.calibrate_dense_limit(dimensions=(4, 8), batch=4,
+                                                repeats=1, apply=True)
+        assert engine.DENSE_DIMENSION_LIMIT == limit
+        assert isinstance(engine.DENSE_DIMENSION_LIMIT, int)

@@ -28,12 +28,12 @@ from repro.core.runtime import (
     ConvInstruction,
     ExecutionPlan,
     MatmulInstruction,
-    PlanOptions,
     compile_plan,
 )
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
 from tests.test_compile import DECODERS, tiny_lenet, tiny_resnet
+from tests.test_lowering import lower_conv
 
 PARITY = 1e-12
 
@@ -85,10 +85,9 @@ class TestPlanParity:
     def test_conv_output_never_aliases_pooled_storage(self, rng):
         # the reshape back to feature maps can be a view of the matmul
         # buffer, so a conv-output program must not pool its last instruction
-        from repro.core.lowering import lower_complex_conv2d
         from repro.nn.complex import ComplexConv2d
 
-        stage = lower_complex_conv2d(ComplexConv2d(2, 3, 3, rng=rng), "conv")
+        stage = lower_conv(ComplexConv2d(2, 3, 3, rng=rng))
         graph = GraphProgram(nodes=[GraphNode("conv", stage, (INPUT,))],
                              output="conv", readout=lambda s: s, num_classes=3)
         def signal():
@@ -102,10 +101,10 @@ class TestPlanParity:
     def test_flatten_output_over_conv_never_aliases_pool(self, rng):
         # FlattenStage returns a reshape *view*, so a conv whose result
         # reaches the output through a flatten chain must not pool either
-        from repro.core.lowering import FlattenStage, lower_complex_conv2d
+        from repro.core.lowering import FlattenStage
         from repro.nn.complex import ComplexConv2d
 
-        stage = lower_complex_conv2d(ComplexConv2d(2, 3, 3, rng=rng), "conv")
+        stage = lower_conv(ComplexConv2d(2, 3, 3, rng=rng))
         graph = GraphProgram(
             nodes=[GraphNode("conv", stage, (INPUT,)),
                    GraphNode("flat", FlattenStage(), ("conv",))],
@@ -127,7 +126,8 @@ class TestPlanParity:
         signal = encoded_light(program, rng.normal(size=(3, 1, 6, 6)), scheme)
         before = program.forward_signals(signal)     # caches the plan
         stale_plan = program.plan()
-        mesh = program.stages[0].layer.photonic_matrix.left_mesh
+        assert program.plan() is stale_plan              # cached while phases hold
+        mesh = program.graph.nodes[0].op.layer.photonic_matrix.left_mesh
         mesh.update_phases(thetas=mesh.thetas * 0.5)
         assert stale_plan.is_stale()
         after = program.forward_signals(signal)      # rebuilds the plan
@@ -136,15 +136,6 @@ class TestPlanParity:
         assert not np.allclose(after, before)
         assert program.plan() is not stale_plan
         assert not program.plan().is_stale()
-
-    def test_unfused_plan_matches_fused(self, rng):
-        scheme = get_scheme("CL")
-        program = repro.compile(tiny_lenet(rng))
-        signal = encoded_light(program, rng.normal(size=(3, 3, 12, 12)), scheme)
-        fused = program.plan().execute(signal)
-        plain = program.plan(PlanOptions(fuse_matrices=False, fuse_affine=False,
-                                         reuse_buffers=False)).execute(signal)
-        assert np.abs(fused - plain).max() <= PARITY
 
     def test_noise_ensemble_plan_matches_walk(self, rng):
         scheme = get_scheme("CL")
@@ -190,12 +181,6 @@ class TestPlanCompilation:
         assert plan.chain_stages > 0
         assert any(isinstance(instruction, ChainInstruction)
                    for instruction in plan.instructions)
-
-    def test_plan_is_cached_until_options_differ(self, rng):
-        program = repro.compile(tiny_lenet(rng))
-        assert program.plan() is program.plan()
-        fresh = program.plan(PlanOptions(fuse_matrices=False))
-        assert fresh is not program.plan()
 
     def test_describe_mentions_instructions(self, rng):
         plan = repro.compile(tiny_lenet(rng)).plan()
@@ -303,5 +288,4 @@ class TestCompilePlanFunction:
     def test_compile_plan_defaults(self, rng):
         program = repro.compile(tiny_lenet(rng))
         plan = compile_plan(program.graph)
-        assert plan.options == PlanOptions()
         assert plan.instruction_count == len(program.graph.nodes)

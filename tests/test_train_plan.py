@@ -345,33 +345,35 @@ class TestFallbackAndOverrides:
         assert np.isfinite(loss)
         assert trainer.plan_stats["compiled"] == 0
 
-    def test_env_variable_disables_compilation(self, monkeypatch, rng):
-        monkeypatch.setenv("REPRO_TRAIN_PLAN", "0")
+    @pytest.mark.parametrize("configured,argument,expected", [
+        (True, None, True),
+        (False, None, False),
+        (True, False, False),
+        (False, True, True),
+    ], ids=["config-on", "config-off", "argument-off", "argument-on"])
+    def test_argument_overrides_config(self, configured, argument, expected, rng):
         model = ComplexFCNN(18, (12,), 2, decoder="merge",
                             rng=np.random.default_rng(7))
-        config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
+        config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0,
+                                compile_train_step=configured)
         trainer = Trainer(model, config, scheme=get_scheme("SI"),
-                          compile_train_step=True)
-        assert trainer.plan_stats["enabled"] is False
+                          compile_train_step=argument)
+        assert trainer.plan_stats["enabled"] is expected
         images = rng.normal(size=(8, 1, 6, 6))
         labels = rng.integers(0, 2, size=8)
         trainer.model.train()
         trainer.train_step(images, labels)
-        assert trainer.plan_stats["compiled"] == 0
+        assert trainer.plan_stats["compiled"] == int(expected)
 
-    def test_env_variable_forces_compilation(self, monkeypatch, rng):
-        monkeypatch.setenv("REPRO_TRAIN_PLAN", "1")
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_environment_does_not_override(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_TRAIN_PLAN", value)
         model = ComplexFCNN(18, (12,), 2, decoder="merge",
                             rng=np.random.default_rng(7))
         config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
-        trainer = Trainer(model, config, scheme=get_scheme("SI"),
-                          compile_train_step=False)
-        assert trainer.plan_stats["enabled"] is True
-        images = rng.normal(size=(8, 1, 6, 6))
-        labels = rng.integers(0, 2, size=8)
-        trainer.model.train()
-        trainer.train_step(images, labels)
-        assert trainer.plan_stats["compiled"] == 1
+        for flag in (True, False):
+            trainer = Trainer(model, config, compile_train_step=flag)
+            assert trainer.plan_stats["enabled"] is flag
 
     def test_eval_mode_skips_the_plan(self, rng):
         model = ComplexFCNN(18, (12,), 2, decoder="merge",
